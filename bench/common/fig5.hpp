@@ -33,8 +33,13 @@ void fig5_run(const std::string& figure, const std::string& app,
   trace_run_begin();
 
   using Mode = core::ExecMode;
-  auto cpu = [&](Mode m) { return with_cost(cpu_setup(m), cost); };
-  auto mic = [&](Mode m) { return with_cost(mic_setup(m), cost); };
+  constexpr auto dir = paper_direction<Program>();
+  auto cpu = [&](Mode m) {
+    return with_direction(with_cost(cpu_setup(m), cost), dir);
+  };
+  auto mic = [&](Mode m) {
+    return with_direction(with_cost(mic_setup(m), cost), dir);
+  };
   const auto cpu_omp = run_device(g, prog, cpu(Mode::kOmpStyle), iters);
   const auto cpu_lock = run_device(g, prog, cpu(Mode::kLocking), iters);
   const auto cpu_pipe = run_device(g, prog, cpu(Mode::kPipelining), iters);

@@ -123,6 +123,16 @@ inline DeviceSetup with_direction(DeviceSetup d, core::DirectionMode dir) {
   return d;
 }
 
+/// The direction the paper-reproduction versions run in. All-active
+/// programs (PageRank) are pinned to the CSB push path the paper's
+/// OMP/Lock/Pipe/novec comparisons measure; on one device they would
+/// otherwise pull. Traversals keep the default kAuto.
+template <core::VertexProgram Program>
+[[nodiscard]] constexpr core::DirectionMode paper_direction() noexcept {
+  return Program::kAllActive ? core::DirectionMode::kForcePush
+                             : core::DirectionMode::kAuto;
+}
+
 
 // ---- runs ----------------------------------------------------------------------
 

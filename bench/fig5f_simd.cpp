@@ -32,8 +32,10 @@ void run_app(const char* app, const graph::Csr& g, const Program& prog,
   int i = 0;
   for (bool is_mic : {false, true}) {
     auto mk = [&](bool simd) {
-      return is_mic ? bench::mic_setup(core::ExecMode::kLocking, simd)
-                    : bench::cpu_setup(core::ExecMode::kLocking, simd);
+      return bench::with_direction(
+          is_mic ? bench::mic_setup(core::ExecMode::kLocking, simd)
+                 : bench::cpu_setup(core::ExecMode::kLocking, simd),
+          bench::paper_direction<Program>());
     };
     const auto vec = bench::run_device(g, prog, mk(true), iters);
     const auto novec = bench::run_device(g, prog, mk(false), iters);

@@ -20,8 +20,11 @@ void tune_app(const char* name, const graph::Csr& g, const Program& prog,
               int iters, const char* paper_ratio) {
   std::printf("\n-- %s --\n", name);
 
-  // Probe run for the mover-split tuner.
-  auto setup = bench::mic_setup(core::ExecMode::kPipelining);
+  // Probe run for the mover-split tuner (on the CSB push path for PageRank:
+  // the movers are what is being tuned).
+  constexpr auto dir = bench::paper_direction<Program>();
+  auto setup =
+      bench::with_direction(bench::mic_setup(core::ExecMode::kPipelining), dir);
   setup.engine.max_supersteps = iters;
   setup.profile.msg_bytes = sizeof(typename Program::message_t);
   setup.profile.value_bytes = sizeof(typename Program::vertex_value_t);
@@ -44,8 +47,9 @@ void tune_app(const char* name, const graph::Csr& g, const Program& prog,
               split.workers, split.movers);
 
   // Ratio tuner.
-  tune::TuneDevice cpu{bench::cpu_setup(core::ExecMode::kLocking).engine,
-                       bench::cpu_setup(core::ExecMode::kLocking).profile,
+  const auto cpu_lock =
+      bench::with_direction(bench::cpu_setup(core::ExecMode::kLocking), dir);
+  tune::TuneDevice cpu{cpu_lock.engine, cpu_lock.profile,
                        sim::xeon_e5_2680()};
   tune::TuneDevice mic{setup.engine, setup.profile, setup.spec};
   cpu.engine.max_supersteps = mic.engine.max_supersteps = iters;

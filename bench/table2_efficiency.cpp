@@ -24,10 +24,13 @@ template <core::VertexProgram Program>
 void run_app(const char* app, const graph::Csr& g, const Program& prog,
              int iters, partition::Ratio ratio, bool mic_pipe,
              const bench::AppCost& cost, const char* paper_row) {
-  const auto cpu_lock = with_cost(bench::cpu_setup(ExecMode::kLocking), cost);
-  const auto mic_lock = with_cost(bench::mic_setup(ExecMode::kLocking), cost);
-  const auto mic_pipe_s =
-      with_cost(bench::mic_setup(ExecMode::kPipelining), cost);
+  auto paper = [&](bench::DeviceSetup s) {
+    return bench::with_direction(with_cost(s, cost),
+                                 bench::paper_direction<Program>());
+  };
+  const auto cpu_lock = paper(bench::cpu_setup(ExecMode::kLocking));
+  const auto mic_lock = paper(bench::mic_setup(ExecMode::kLocking));
+  const auto mic_pipe_s = paper(bench::mic_setup(ExecMode::kPipelining));
 
   const auto cpu_run = bench::run_device(g, prog, cpu_lock, iters);
   const auto mic_run_lock = bench::run_device(g, prog, mic_lock, iters);

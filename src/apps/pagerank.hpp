@@ -5,6 +5,13 @@
 //  edges. The message reduction sub-step sums up the received PageRank
 //  values from the neighbors, utilizing SIMD processing. The vertex update
 //  sub-step updates each vertex's PageRank value using the sum."
+//
+// The program is also pullable: on a single device the engine gathers each
+// vertex's in-neighbor shares in ascending source order instead of pushing
+// them through the CSB. That is the reference's fold order, so the pulled
+// sums are bit-identical to the pushed single-worker ones at any thread
+// count. Each share is computed once per superstep (pull_source), with the
+// same expression generate_messages uses.
 #pragma once
 
 #include "src/common/types.hpp"
@@ -20,8 +27,14 @@ class PageRank {
   static constexpr bool kNeedsReduction = true;
   static constexpr bool kSimdReduce = true;
   static constexpr core::CombinerKind kCombiner = core::CombinerKind::kSum;
+  static constexpr bool kPullable = true;
 
   explicit PageRank(float damping = 0.85f) : damping_(damping) {}
+
+  /// What u sends along each of its out-edges.
+  [[nodiscard]] static float share(float value, eid_t out_degree) noexcept {
+    return value / static_cast<float>(out_degree);
+  }
 
   [[nodiscard]] float identity() const noexcept { return 0.0f; }
   [[nodiscard]] float combine(float a, float b) const noexcept { return a + b; }
@@ -36,9 +49,18 @@ class PageRank {
   void generate_messages(vid_t u, const View& g, Sink& sink) const {
     const eid_t deg = g.vertices[u + 1] - g.vertices[u];
     if (deg == 0) return;
-    const float share = g.vertex_value[u] / static_cast<float>(deg);
+    const float s = share(g.vertex_value[u], deg);
     for (eid_t i = g.vertices[u]; i < g.vertices[u + 1]; ++i)
-      sink.send_messages(g.edges[i], share);
+      sink.send_messages(g.edges[i], s);
+  }
+
+  /// Pull path: the engine stores pull_source(value, out-degree) per vertex
+  /// once per superstep, and pull_message hands that share on unchanged.
+  [[nodiscard]] float pull_source(float value, eid_t out_degree) const noexcept {
+    return out_degree == 0 ? 0.0f : share(value, out_degree);
+  }
+  [[nodiscard]] float pull_message(float src_share, float /*weight*/) const noexcept {
+    return src_share;
   }
 
   /// SIMD sum over the vector message array (paper Listing 1 structure).

@@ -69,9 +69,10 @@ struct EngineConfig {
   double sparse_iteration_threshold = 0.05;
 
   /// Traversal direction (push vs pull) for programs that declare
-  /// kPullable (BFS/SSSP/CC). kAuto applies the alpha/beta rule per
-  /// superstep; kForcePush reproduces the pre-direction engine exactly;
-  /// kForcePull pulls every superstep. Non-pullable programs and
+  /// kPullable (BFS/SSSP/CC/PageRank). kAuto applies the alpha/beta rule
+  /// per superstep, except that all-active programs (PageRank) pull every
+  /// superstep; kForcePush reproduces the pre-direction engine exactly (the
+  /// CSB path); kForcePull pulls every superstep. Non-pullable programs and
   /// multi-device partitions (which lack in-neighbor values locally)
   /// always push.
   DirectionMode direction_mode = DirectionMode::kAuto;

@@ -13,6 +13,12 @@
 //   5. update    — user update_vertex() per message-receiving vertex
 //   6. terminate — exchange next-active counts; stop when globally idle
 //
+// On a single device, pullable programs may run generate bottom-up instead:
+// each vertex gathers from its in-neighbors over a transposed CSR (built in
+// parallel at construction) and nothing enters the CSB. Traversals choose
+// per superstep; all-active programs (PageRank) pull every superstep, and an
+// engine that can never push allocates no CSB at all.
+//
 // The same code runs as the paper's "CPU" and "MIC" instances — only the
 // EngineConfig (thread layout, SIMD profile, execution scheme) differs —
 // and generalizes to any rank count: the peer wiring is an N-rank AllToAll
@@ -54,6 +60,7 @@
 #include "src/core/graph_view.hpp"
 #include "src/core/local_graph.hpp"
 #include "src/core/program_traits.hpp"
+#include "src/core/transpose.hpp"
 #include "src/fault/checkpoint.hpp"
 #include "src/fault/fault.hpp"
 #include "src/fault/fault_injection.hpp"
@@ -131,14 +138,35 @@ class DeviceEngine {
                    "data and control channels disagree on the rank count");
     }
     const vid_t n = lg_.num_local_vertices();
+    if (!peer_) {
+      // Single-device engines address vertices by global id directly (see
+      // local_id()), which is only sound on the whole graph.
+      const auto& lo = *lg_.local_of;
+      bool identity = lg_.global_num_vertices == n && lo.size() == n;
+      for (vid_t v = 0; identity && v < n; ++v) identity = lo[v] == v;
+      PG_CHECK_MSG(identity,
+                   "a single-device engine needs the whole graph "
+                   "(LocalGraph::whole)");
+    }
     values_.resize(n);
     active_.assign(n, 0);
     next_active_.assign(n, 0);
-    if (cfg_.mode == ExecMode::kOmpStyle) {
+    // Pull state: engaged for pullable programs on a single-device partition
+    // (a split partition keeps global edge targets and lacks in-neighbor
+    // values locally), so kForcePull with a peer degrades to push.
+    pull_ready_ = is_pullable<Program>() && !peer_ &&
+                  cfg_.direction_mode != DirectionMode::kForcePush;
+    // Push state: an engine that can never push — it pulls every superstep,
+    // all-active under kAuto or forced to — builds no CSB and no OMP
+    // accumulators.
+    const bool pulls_only =
+        pull_ready_ && (Program::kAllActive ||
+                        cfg_.direction_mode == DirectionMode::kForcePull);
+    if (!pulls_only && cfg_.mode == ExecMode::kOmpStyle) {
       acc_.resize(n);
       has_msg_.assign(n, 0);
       vertex_locks_ = std::make_unique<sched::SpinLock[]>(n);
-    } else {
+    } else if (!pulls_only) {
       typename buffer::Csb<Msg>::Config bc;
       bc.lanes = lanes_;
       bc.k = cfg_.csb_k;
@@ -159,18 +187,15 @@ class DeviceEngine {
     tstats_.resize(static_cast<std::size_t>(cfg_.total_threads()));
     if constexpr (!Program::kAllActive)
       tl_frontier_.resize(static_cast<std::size_t>(cfg_.total_threads()));
-    // Direction-optimizing pull path: engaged only for pullable programs on
-    // a single-device partition (a split partition keeps global edge targets
-    // and lacks in-neighbor values locally, so Csr::reversed() cannot apply).
-    // kForcePull with a peer therefore degrades to push.
-    if constexpr (is_pullable<Program>() && !Program::kAllActive) {
-      if (!peer_ && cfg_.direction_mode != DirectionMode::kForcePush) {
-        in_csr_.emplace(lg_.local.reversed());
+    if (pull_ready_) {
+      in_edges_ = parallel_transpose(lg_.local, lg_.in_degree, *team_);
+      // The build ran on this thread; run() may be driven from another.
+      team_->rebind_orchestrator();
+      if constexpr (!Program::kAllActive)
         pull_frontier_.resize(static_cast<std::size_t>(n));
-        pull_acc_.resize(n);
-        pull_has_.assign(n, 0);
-        pull_ready_ = true;
-      }
+      if constexpr (HasPullSource<Program>) pull_src_.resize(n);
+      pull_acc_.resize(n);
+      pull_has_.assign(n, 0);
     }
     dir_policy_.alpha = cfg_.direction_alpha;
     dir_policy_.beta = cfg_.direction_beta;
@@ -182,7 +207,10 @@ class DeviceEngine {
   }
   [[nodiscard]] const LocalGraph& local_graph() const noexcept { return lg_; }
   [[nodiscard]] int lanes() const noexcept { return lanes_; }
-  [[nodiscard]] const buffer::Csb<Msg>& csb() const noexcept { return *csb_; }
+  /// The message buffer, or nullptr on an engine that never pushes.
+  [[nodiscard]] const buffer::Csb<Msg>* csb() const noexcept {
+    return csb_ ? &*csb_ : nullptr;
+  }
 
   /// This device's MPI-style rank (0 when running single-device).
   [[nodiscard]] int rank() const noexcept { return peer_ ? peer_->rank : 0; }
@@ -383,7 +411,7 @@ class DeviceEngine {
       if (!ok) return StepOutcome::kPeerFailed;
     }
 
-    if (cfg_.mode != ExecMode::kOmpStyle && Program::kNeedsReduction) {
+    if (csb_ && Program::kNeedsReduction) {
       phase_ = "process";
       PG_AUDIT_PHASE_ENTER(bsp_phase_, kProcess);
       PG_TRACE_SCOPE(kProcess, s, rank());
@@ -658,8 +686,11 @@ class DeviceEngine {
   [[nodiscard]] int owner_rank_of(vid_t global) const noexcept {
     return (*lg_.owner_rank)[global];
   }
+  /// Without a peer the partition is the whole graph (checked at
+  /// construction), so local ids are global ids and the sinks skip the
+  /// per-message local_of lookup.
   [[nodiscard]] vid_t local_id(vid_t global) const noexcept {
-    return (*lg_.local_of)[global];
+    return peer_ ? (*lg_.local_of)[global] : global;
   }
 
   void deposit_remote(vid_t global_dst, const Msg& m, ThreadStats& ts) {
@@ -776,15 +807,17 @@ class DeviceEngine {
   }
 
   /// Pick this superstep's traversal direction. Push-only engines (non-
-  /// pullable program, peer present, or kForcePush) always push; kAuto
-  /// feeds the frontier's vertex/edge mass and the unexplored-edge estimate
-  /// into the alpha/beta policy. The explored-edge estimate accumulates the
+  /// pullable program, peer present, or kForcePush) always push; all-active
+  /// programs and kForcePull always pull. Otherwise kAuto feeds the
+  /// frontier's vertex/edge mass and the unexplored-edge estimate into the
+  /// alpha/beta policy. The explored-edge estimate accumulates the
   /// frontier's out-edge mass every superstep regardless of the chosen
   /// direction — exactly what sim::predict_direction_mix replays from a
   /// forced-push probe trace (where edges_scanned == frontier edge mass).
   [[nodiscard]] Direction decide_direction() {
     if (!pull_ready_) return Direction::kPush;
-    if (cfg_.direction_mode == DirectionMode::kForcePull)
+    if (Program::kAllActive ||
+        cfg_.direction_mode == DirectionMode::kForcePull)
       return Direction::kPull;
     if constexpr (is_pullable<Program>() && !Program::kAllActive) {
       std::uint64_t frontier_edges = 0;
@@ -926,24 +959,43 @@ class DeviceEngine {
   /// a private accumulator slot — the owning thread is the only writer, so
   /// there are no locks, no CSB traffic and no queue traffic. process()
   /// naturally no-ops afterwards (no CSB group is dirtied) and update()
-  /// takes its pull branch.
+  /// takes its pull branch. All-active programs have no frontier: every
+  /// in-neighbor is folded, and the bitmap is never built.
   void generate_pull(int superstep) {
-    if constexpr (is_pullable<Program>() && !Program::kAllActive) {
+    if constexpr (is_pullable<Program>()) {
       const vid_t n = lg_.num_local_vertices();
       superstep_sparse_ = false;
-      superstep_frontier_size_ = static_cast<std::uint64_t>(frontier_.size());
-      pull_frontier_.assign_bytes(active_.data(), active_.size());
-      // Tail-word audit: when |V| is not a multiple of 64, the bits past n
-      // in the bitmap's last word must be dead — a stale tail bit would let
-      // the pull kernel treat a nonexistent vertex as frontier (and, for the
-      // 64-lane batch programs, answer query lanes nobody submitted).
-      PG_AUDIT_FMT(pull_frontier_.tail_bits() == 0, "frontier-tail-word",
-                   "pull frontier bitmap carries %llu stale tail bit(s) past "
-                   "|V|=%u",
-                   static_cast<unsigned long long>(
-                       __builtin_popcountll(pull_frontier_.tail_bits())),
-                   static_cast<unsigned>(n));
-      const bool weighted = in_csr_->has_edge_values();
+      if constexpr (Program::kAllActive) {
+        superstep_frontier_size_ = static_cast<std::uint64_t>(n);
+      } else {
+        superstep_frontier_size_ =
+            static_cast<std::uint64_t>(frontier_.size());
+        pull_frontier_.assign_bytes(active_.data(), active_.size());
+        // Tail-word audit: when |V| is not a multiple of 64, the bits past
+        // n in the bitmap's last word must be dead — a stale tail bit would
+        // let the pull kernel treat a nonexistent vertex as frontier (and,
+        // for the 64-lane batch programs, answer query lanes nobody
+        // submitted).
+        PG_AUDIT_FMT(pull_frontier_.tail_bits() == 0, "frontier-tail-word",
+                     "pull frontier bitmap carries %llu stale tail bit(s) "
+                     "past |V|=%u",
+                     static_cast<unsigned long long>(
+                         __builtin_popcountll(pull_frontier_.tail_bits())),
+                     static_cast<unsigned>(n));
+      }
+      if constexpr (HasPullSource<Program>) {
+        sched_.reset(static_cast<std::size_t>(n), cfg_.sched_chunk);
+        team_run_guarded([&](int) {
+          while (auto r = sched_.next_chunk())
+            for (std::size_t i = r->begin; i < r->end; ++i) {
+              const vid_t u = static_cast<vid_t>(i);
+              pull_src_[u] =
+                  prog_.pull_source(values_[u], lg_.local.out_degree(u));
+            }
+        });
+        tstats_[0].sched_retrievals += sched_.retrievals();
+      }
+      const bool weighted = in_edges_->has_edge_values();
       sched_.reset(static_cast<std::size_t>(n), cfg_.sched_chunk);
       team_run_guarded([&](int tid) {
         auto& ts = tstats_[static_cast<std::size_t>(tid)];
@@ -970,19 +1022,21 @@ class DeviceEngine {
   /// in-neighbor; reducing programs (SSSP/CC: exact min-combine, order-
   /// independent) fold every frontier in-neighbor, vectorized when the
   /// program supplies pull_message_vec and the profile enables SIMD.
+  /// All-active programs (PageRank) fold every in-neighbor as a scalar
+  /// left fold in ascending source order, the reference's order.
   void pull_vertex(vid_t u, bool weighted, int superstep, ThreadStats& ts) {
     (void)superstep;  // only consumed by the audit/fault macros
-    if constexpr (is_pullable<Program>() && !Program::kAllActive) {
+    if constexpr (is_pullable<Program>()) {
       if constexpr (HasPullCandidate<Program>) {
         if (!prog_.pull_candidate(values_[u])) return;
       }
-      const eid_t lo = in_csr_->offsets()[u];
-      const eid_t hi = in_csr_->offsets()[u + 1];
+      const eid_t lo = in_edges_->offsets()[u];
+      const eid_t hi = in_edges_->offsets()[u + 1];
       if (lo == hi) return;
       PG_AUDIT_PHASE_EXPECT(bsp_phase_, kGenerate, "pull_message()");
       PG_FAULT_POINT(kEngineGenerate, rank(), superstep);
-      if constexpr (Program::kNeedsReduction && Program::kSimdReduce &&
-                    simd::is_simd_basic_v<Msg> &&
+      if constexpr (!Program::kAllActive && Program::kNeedsReduction &&
+                    Program::kSimdReduce && simd::is_simd_basic_v<Msg> &&
                     std::is_same_v<Msg, Value>) {
         if constexpr (HasVecPullMessage<Program, simd::Vec<Msg, 8>,
                                         simd::Vec<float, 8>>) {
@@ -1000,19 +1054,30 @@ class DeviceEngine {
     }
   }
 
+  /// The operand pull_message reads for in-neighbor src: the per-superstep
+  /// pull_source array when the program has one, else src's value.
+  [[nodiscard]] const Value& pull_operand(vid_t src) const noexcept {
+    if constexpr (HasPullSource<Program>)
+      return pull_src_[src];
+    else
+      return values_[src];
+  }
+
   void pull_vertex_scalar(vid_t u, eid_t lo, eid_t hi, bool weighted,
                           ThreadStats& ts) {
-    if constexpr (is_pullable<Program>() && !Program::kAllActive) {
-      const vid_t* srcs = in_csr_->targets().data();
-      const float* wv = weighted ? in_csr_->edge_values().data() : nullptr;
+    if constexpr (is_pullable<Program>()) {
+      const vid_t* srcs = in_edges_->sources().data();
+      const float* wv = weighted ? in_edges_->edge_values().data() : nullptr;
       Msg acc{};
       bool found = false;
       std::uint64_t scanned = 0;
       for (eid_t e = lo; e < hi; ++e) {
         ++scanned;
         const vid_t src = srcs[e];
-        if (!pull_frontier_.test(src)) continue;
-        const Msg m = prog_.pull_message(values_[src], wv ? wv[e] : 0.0f);
+        if constexpr (!Program::kAllActive)
+          if (!pull_frontier_.test(src)) continue;
+        const Msg m =
+            prog_.pull_message(pull_operand(src), wv ? wv[e] : 0.0f);
         if (found)
           acc = prog_.combine(acc, m);
         else {
@@ -1047,8 +1112,8 @@ class DeviceEngine {
                   simd::is_simd_basic_v<Msg> && std::is_same_v<Msg, Value>) {
       using V = simd::Vec<Msg, W>;
       using VF = simd::Vec<float, W>;
-      const vid_t* srcs = in_csr_->targets().data();
-      const float* wv = weighted ? in_csr_->edge_values().data() : nullptr;
+      const vid_t* srcs = in_edges_->sources().data();
+      const float* wv = weighted ? in_edges_->edge_values().data() : nullptr;
       const Msg ident = prog_.identity();
       V vacc(ident);
       bool found = false;
@@ -1422,12 +1487,15 @@ class DeviceEngine {
 
   // Direction-optimizing pull state (engaged only when pull_ready_): the
   // transposed local graph, the word-packed frontier bitmap rebuilt from
-  // active_ each pull superstep, and per-vertex result slots written
-  // owner-thread-only by the pull kernel and drained by update()'s pull
-  // branch. The policy/estimate pair drives the kAuto decision.
+  // active_ each pull superstep (not for all-active programs), the
+  // per-source pull_source operands (programs that declare one), and
+  // per-vertex result slots written owner-thread-only by the pull kernel
+  // and drained by update()'s pull branch. The policy/estimate pair drives
+  // the kAuto decision.
   bool pull_ready_ = false;
-  std::optional<graph::Csr> in_csr_;
+  std::optional<Transpose> in_edges_;
   simd::DenseBitset pull_frontier_;
+  std::vector<Value> pull_src_;
   std::vector<Msg> pull_acc_;
   std::vector<std::uint8_t> pull_has_;
   DirectionPolicy dir_policy_;

@@ -115,10 +115,16 @@ template <typename P>
 /// same value generate_messages(src) would have pushed to u. The engine may
 /// then run dense supersteps bottom-up: scan each candidate's in-neighbors
 /// against a bitmap of the frontier and feed pull_message results into the
-/// ordinary update_vertex. Programs whose update depends on message ORDER or
-/// on receiving every message (kNeedsReduction with a non-exact combine)
-/// must not declare this; BFS (first-parent-wins at equal level), SSSP and
-/// CC (exact min-combine) qualify.
+/// ordinary update_vertex. BFS (first-parent-wins at equal level), SSSP and
+/// CC (exact min-combine) qualify in any scan order.
+///
+/// kAllActive programs pull every superstep on a single device, with no
+/// frontier bitmap: the scalar fold visits every in-neighbor of u in
+/// ascending source order, the order Csr::reversed() lists them and the
+/// order reference_run delivers pushed messages. A program whose combine is
+/// order-sensitive (a float sum such as PageRank) therefore qualifies too —
+/// its pulled result is the sequential one bit for bit — as long as it
+/// supplies no pull_message_vec, whose lane-parallel fold reorders the sum.
 template <typename P>
 concept PullableProgram = VertexProgram<P> && requires(
     const P p, const typename P::vertex_value_t v, float w) {
@@ -143,9 +149,23 @@ concept HasPullCandidate = requires(const P p,
   { p.pull_candidate(v) } -> std::convertible_to<bool>;
 };
 
+/// Optional per-source pull operand: when present, the engine evaluates
+/// pull_source(value, out_degree) once per vertex per pull superstep and
+/// passes that, instead of the raw vertex value, to pull_message — so work
+/// that depends only on the source (PageRank's value / out-degree share)
+/// is done once per vertex rather than once per edge.
+template <typename P>
+concept HasPullSource = requires(const P p,
+                                 const typename P::vertex_value_t v,
+                                 eid_t out_degree) {
+  { p.pull_source(v, out_degree) } ->
+      std::same_as<typename P::vertex_value_t>;
+};
+
 /// Optional SIMD pull operator: lane-parallel pull_message over a vector of
 /// gathered in-neighbor values V and a vector of edge weights VF. Only
-/// consulted when kSimdReduce holds and message_t == vertex_value_t.
+/// consulted when kSimdReduce holds and message_t == vertex_value_t, and
+/// only for combines whose result does not depend on the fold order.
 template <typename P, typename V, typename VF>
 concept HasVecPullMessage = requires(const P p, const V v, const VF w) {
   { p.pull_message_vec(v, w) } -> std::same_as<V>;

@@ -1,0 +1,62 @@
+// Parallel CSR transpose for the engine's pull path.
+//
+// Produces exactly the arrays of Csr::reversed() — the same offsets, the
+// same in-neighbor order (ascending source id, parallel edges in out-edge
+// order) and the same edge values — using every thread of a ThreadTeam. The
+// destination range is split into one contiguous slice per thread, balanced
+// by in-edge count; each thread scans all out-edges in source order and
+// fills only the slots of its own slice, so no thread needs private count
+// arrays and the output order is the sequential one by construction.
+//
+// The arrays are allocated uninitialized and first written by the threads
+// that fill them: a zero-filled std::vector would spend a serial pass (and
+// all the page faults) on memory that is overwritten anyway.
+#pragma once
+
+#include <memory>
+#include <span>
+
+#include "src/common/types.hpp"
+#include "src/graph/csr.hpp"
+#include "src/sched/thread_team.hpp"
+
+namespace phigraph::core {
+
+/// In-edges of every vertex: sources(v) are v's in-neighbors in ascending
+/// id order, edge_values() the values of those edges (empty if unweighted).
+class Transpose {
+ public:
+  [[nodiscard]] vid_t num_vertices() const noexcept { return n_; }
+  [[nodiscard]] eid_t num_edges() const noexcept { return m_; }
+  [[nodiscard]] bool has_edge_values() const noexcept {
+    return values_ != nullptr;
+  }
+  [[nodiscard]] std::span<const eid_t> offsets() const noexcept {
+    return {offsets_.get(), static_cast<std::size_t>(n_) + 1};
+  }
+  [[nodiscard]] std::span<const vid_t> sources() const noexcept {
+    return {sources_.get(), static_cast<std::size_t>(m_)};
+  }
+  [[nodiscard]] std::span<const float> edge_values() const noexcept {
+    return {values_.get(), values_ ? static_cast<std::size_t>(m_) : 0};
+  }
+
+ private:
+  friend Transpose parallel_transpose(const graph::Csr&,
+                                      std::span<const vid_t>,
+                                      sched::ThreadTeam&);
+
+  vid_t n_ = 0;
+  eid_t m_ = 0;
+  std::unique_ptr<eid_t[]> offsets_;
+  std::unique_ptr<vid_t[]> sources_;
+  std::unique_ptr<float[]> values_;
+};
+
+/// The transpose of `g` (targets in g's own vertex space), built on `team`.
+/// `in_degree[v]` must be v's in-degree in g; it sizes the output offsets.
+[[nodiscard]] Transpose parallel_transpose(const graph::Csr& g,
+                                           std::span<const vid_t> in_degree,
+                                           sched::ThreadTeam& team);
+
+}  // namespace phigraph::core

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/buffer/csb.hpp"
@@ -143,11 +145,16 @@ TEST_F(PaperExampleCsb, OneToOneMappingWastesLanes) {
 // Randomized properties.
 // ---------------------------------------------------------------------------
 
+// gtest names each instance after a byte dump of its parameter, so the tail
+// after `mode` is an explicit zeroed member: left as compiler padding it held
+// stack garbage and the test names changed from run to run.
 struct CsbParam {
   int lanes;
   int k;
   ColumnMode mode;
+  std::uint8_t zero[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<CsbParam>);
 
 class CsbProperty : public ::testing::TestWithParam<CsbParam> {};
 

@@ -20,6 +20,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "src/apps/sssp.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/hetero_engine.hpp"
+#include "src/core/transpose.hpp"
 #include "src/gen/generators.hpp"
 #include "src/graph/csr.hpp"
 #include "src/partition/partition.hpp"
@@ -271,11 +273,12 @@ TEST(DifferentialBattery, MinCombineAppsBitExactAcrossMatrix) {
 }
 
 // PageRank sums float messages, so its result depends on reduction order.
-// With one worker and one mover the engine inserts messages in ascending
-// source order — exactly the reference's combine order — and the SIMD row
-// reduction degenerates to the same left fold, so the comparison is still
-// bit-exact. Heterogeneous runs interleave local and remote messages and are
-// covered (approximately) by engine_test's EXPECT_NEAR checks instead.
+// Pushed through the CSB with one worker and one mover, the engine inserts
+// messages in ascending source order — exactly the reference's combine
+// order — and the SIMD row reduction degenerates to the same left fold, so
+// the comparison is still bit-exact. Heterogeneous runs interleave local and
+// remote messages and are covered (approximately) by engine_test's
+// EXPECT_NEAR checks instead.
 TEST(DifferentialBattery, PageRankBitExactSingleWorker) {
   phigraph::testing::Watchdog wd(std::chrono::seconds(PG_TEST_SANITIZED ? 900 : 300));
   for (int round = 0; round < kRounds; ++round) {
@@ -285,9 +288,9 @@ TEST(DifferentialBattery, PageRankBitExactSingleWorker) {
     const apps::PageRank prog;
     const auto ref = apps::reference_run(g, prog, /*max_supersteps=*/8);
     for (const Cell& c : full_matrix()) {
-      // PageRank is not pullable (kAllActive), so the forced-direction cells
-      // would only re-run the push path; auto covers it.
-      if (c.hetero || c.dir != core::DirectionMode::kAuto) continue;
+      // The push path only: single-device PageRank pulls under auto and
+      // forced pull, which PageRankPullBitExactAnyThreadsAndMode covers.
+      if (c.hetero || c.dir != core::DirectionMode::kForcePush) continue;
       auto cfg = cell_cfg(c, simd::kCpuSimdBytes, seed);
       cfg.threads = 1;
       cfg.movers = 1;
@@ -297,6 +300,96 @@ TEST(DifferentialBattery, PageRankBitExactSingleWorker) {
         ASSERT_EQ(res.values[v], ref[v])
             << family_name(fam) << " round " << round << " " << cell_name(c)
             << " vertex " << v;
+    }
+  }
+}
+
+// Single-device PageRank pulls: every vertex folds its in-neighbors' shares
+// in ascending source order, the reference's order, whatever the thread
+// count or execution scheme. Every cell is therefore bit-exact against both
+// the BSP reference and the classical power iteration.
+TEST(DifferentialBattery, PageRankPullBitExactAnyThreadsAndMode) {
+  phigraph::testing::Watchdog wd(
+      std::chrono::seconds(PG_TEST_SANITIZED ? 900 : 300));
+  constexpr int kSteps = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    const Family fam = kFamilies[round % std::size(kFamilies)];
+    const auto seed = static_cast<std::uint64_t>(0xbcd0 + 0x101 * round);
+    const auto g = make_graph(fam, seed);
+    const apps::PageRank prog;
+    const auto ref = apps::reference_run(g, prog, kSteps);
+    const auto classic = apps::classic_pagerank(g, kSteps);
+    for (ExecMode mode :
+         {ExecMode::kLocking, ExecMode::kPipelining, ExecMode::kOmpStyle})
+      for (int threads : {1, 2, 4})
+        for (core::DirectionMode dir :
+             {core::DirectionMode::kAuto, core::DirectionMode::kForcePull}) {
+          EngineConfig cfg;
+          cfg.mode = mode;
+          cfg.threads = threads;
+          cfg.movers = 1;
+          cfg.sched_chunk = 8;
+          cfg.direction_mode = dir;
+          cfg.max_supersteps = kSteps;
+          const auto res = core::run_single(g, prog, cfg);
+          const std::string what =
+              std::string(family_name(fam)) + " round " +
+              std::to_string(round) + " " + core::exec_mode_name(mode) +
+              " threads=" + std::to_string(threads) + " " +
+              core::direction_mode_name(dir);
+          ASSERT_EQ(metrics::totals(res.run.trace).pull_supersteps,
+                    static_cast<std::uint64_t>(kSteps))
+              << what;
+          for (vid_t v = 0; v < g.num_vertices(); ++v) {
+            ASSERT_EQ(res.values[v], ref[v]) << what << " vertex " << v;
+            ASSERT_EQ(res.values[v], classic[v]) << what << " vertex " << v;
+          }
+        }
+  }
+}
+
+// The engine's parallel transpose must be Csr::reversed() byte for byte —
+// offsets, in-neighbor order and edge values — on every battery family,
+// weighted and unweighted, at 1–4 threads. The family sizes are random, so
+// most rounds also leave |V| indivisible by the thread count; the extra
+// fixed sizes make sure of it, and cover more threads than vertices.
+TEST(DifferentialTranspose, ParallelTransposeMatchesReversedBytes) {
+  phigraph::testing::Watchdog wd(
+      std::chrono::seconds(PG_TEST_SANITIZED ? 900 : 300));
+  auto bytes_equal = [](auto a, const auto& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+  };
+  std::vector<std::pair<std::string, graph::Csr>> graphs;
+  for (int round = 0; round < kRounds; ++round) {
+    const Family fam = kFamilies[round % std::size(kFamilies)];
+    const auto seed = static_cast<std::uint64_t>(0x7e57 + 0x101 * round);
+    auto g = make_graph(fam, seed);
+    const std::string name =
+        std::string(family_name(fam)) + " round " + std::to_string(round);
+    graphs.emplace_back(name + " unweighted",
+                        graph::Csr(g.offsets(), g.targets()));
+    graphs.emplace_back(name + " weighted", std::move(g));
+  }
+  for (vid_t n : {2u, 3u, 5u, 7u, 1021u}) {
+    auto g = gen::erdos_renyi(n, 3ull * n, 0xab5 + n);
+    gen::add_random_weights(g, n);
+    graphs.emplace_back("er n=" + std::to_string(n), std::move(g));
+  }
+  for (const auto& [name, g] : graphs) {
+    const graph::Csr want = g.reversed();
+    const auto in_degree = g.in_degrees();
+    for (int threads = 1; threads <= 4; ++threads) {
+      sched::ThreadTeam team(threads);
+      const core::Transpose got = core::parallel_transpose(g, in_degree, team);
+      const std::string what = name + " threads=" + std::to_string(threads);
+      EXPECT_EQ(got.num_vertices(), want.num_vertices()) << what;
+      EXPECT_EQ(got.num_edges(), want.num_edges()) << what;
+      EXPECT_EQ(got.has_edge_values(), want.has_edge_values()) << what;
+      EXPECT_TRUE(bytes_equal(got.offsets(), want.offsets())) << what;
+      EXPECT_TRUE(bytes_equal(got.sources(), want.targets())) << what;
+      EXPECT_TRUE(bytes_equal(got.edge_values(), want.edge_values())) << what;
     }
   }
 }
@@ -481,9 +574,9 @@ TEST(DifferentialBattery, PartitionSchemeMatrixBitExactAcrossRanks) {
 
 // PageRank's float sums depend on fold order, and a different rank count is
 // a different fold order — bit-equality against the reference only holds for
-// the degenerate 1-rank/1-worker case. What every rank count must still
-// deliver: determinism (the same cluster twice is bit-identical) and
-// closeness to the reference sums.
+// the degenerate 1-rank/1-worker case, which is asserted exactly. What every
+// rank count must still deliver: determinism (the same cluster twice is
+// bit-identical) and closeness to the reference sums.
 TEST(DifferentialBattery, RankMatrixPageRankDeterministicAndNearReference) {
   phigraph::testing::Watchdog wd(
       std::chrono::seconds(PG_TEST_SANITIZED ? 900 : 300));
@@ -508,8 +601,11 @@ TEST(DifferentialBattery, RankMatrixPageRankDeterministicAndNearReference) {
     for (vid_t v = 0; v < g.num_vertices(); ++v) {
       ASSERT_EQ(ra.global_values[v], rb.global_values[v])
           << "ranks=" << nranks << " vertex " << v << ": rerun diverged";
-      EXPECT_NEAR(ra.global_values[v], ref[v], 1e-3f * (1.0f + ref[v]))
-          << "ranks=" << nranks << " vertex " << v;
+      if (nranks == 1)
+        ASSERT_EQ(ra.global_values[v], ref[v]) << "ranks=1 vertex " << v;
+      else
+        EXPECT_NEAR(ra.global_values[v], ref[v], 1e-3f * (1.0f + ref[v]))
+            << "ranks=" << nranks << " vertex " << v;
     }
   }
 }

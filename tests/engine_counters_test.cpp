@@ -96,12 +96,58 @@ TEST(EngineCounters, PageRankScansEveryEdgeEverySuperstep) {
   const auto g = gen::pokec_like(2000, 24000, 14);
   auto c = cfg(ExecMode::kLocking);
   c.max_supersteps = 4;
+  // Push pinned: the CSB path's per-message accounting is the subject; a
+  // single-device PageRank pulls by default.
+  c.direction_mode = core::DirectionMode::kForcePush;
   const auto res = core::run_single(g, apps::PageRank{}, c);
   for (const auto& step : res.run.trace) {
     EXPECT_EQ(step.active_vertices, g.num_vertices());
     EXPECT_EQ(step.edges_scanned, g.num_edges());
     EXPECT_EQ(step.msgs_local, g.num_edges());
   }
+}
+
+// The counter contract of an engine that can never push: single-device
+// PageRank under auto direction, and any pullable program forced to pull.
+// It allocates no CSB, every superstep pulls, and each pull superstep
+// gathers over every in-edge exactly once.
+TEST(EngineCounters, PullOnlyEngineAllocatesNoCsbAndScansEveryInEdge) {
+  const auto g = gen::pokec_like(2000, 24000, 14);
+  for (ExecMode mode :
+       {ExecMode::kLocking, ExecMode::kPipelining, ExecMode::kOmpStyle}) {
+    auto c = cfg(mode, mode == ExecMode::kOmpStyle ? 16 : 64);
+    c.max_supersteps = 4;
+    core::DeviceEngine<apps::PageRank> e(core::LocalGraph::whole(g),
+                                         apps::PageRank{}, c);
+    EXPECT_EQ(e.csb(), nullptr) << core::exec_mode_name(mode);
+    const auto res = e.run();
+    ASSERT_EQ(res.supersteps, 4);
+    const auto t = metrics::totals(res.trace);
+    EXPECT_EQ(t.push_supersteps, 0u);
+    EXPECT_EQ(t.pull_supersteps, static_cast<std::uint64_t>(res.supersteps));
+    EXPECT_EQ(t.direction_flips, 1u) << "one flip: into pull, then stay";
+    for (const auto& step : res.trace) {
+      EXPECT_EQ(step.pull_edges_scanned, g.num_edges());
+      EXPECT_EQ(step.active_vertices, g.num_vertices());
+      EXPECT_EQ(step.edges_scanned, 0u);
+      EXPECT_EQ(step.msgs_local, 0u);
+      EXPECT_EQ(step.lock_acquisitions, 0u);
+      EXPECT_EQ(step.queue_pushes, 0u);
+      EXPECT_EQ(step.groups_dirty, 0u);
+    }
+  }
+
+  // A traversal forced to pull never pushes either; pinned to push, the
+  // same program keeps its CSB.
+  auto c = cfg(ExecMode::kLocking);
+  c.direction_mode = core::DirectionMode::kForcePull;
+  core::DeviceEngine<apps::Bfs> pull(core::LocalGraph::whole(g), apps::Bfs{0},
+                                     c);
+  EXPECT_EQ(pull.csb(), nullptr);
+  c.direction_mode = core::DirectionMode::kForcePush;
+  core::DeviceEngine<apps::PageRank> push(core::LocalGraph::whole(g),
+                                          apps::PageRank{}, c);
+  EXPECT_NE(push.csb(), nullptr);
 }
 
 TEST(EngineCounters, TopoSortMessageTotalEqualsEdges) {

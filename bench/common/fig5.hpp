@@ -24,7 +24,7 @@ struct Fig5Bands {
 template <core::VertexProgram Program, typename Extra = std::nullptr_t>
 void fig5_run(const std::string& figure, const std::string& app,
               const graph::Csr& g, const Program& prog, int iters,
-              partition::Ratio hetero_ratio, bool mic_uses_pipe,
+              const partition::RankWeights& hetero_weights, bool mic_uses_pipe,
               const Fig5Bands& bands, const AppCost& cost = {},
               Extra&& extra = nullptr) {
   const auto scale = get_scale();
@@ -47,13 +47,16 @@ void fig5_run(const std::string& figure, const std::string& app,
   const auto mic_lock = run_device(g, prog, mic(Mode::kLocking), iters);
   const auto mic_pipe = run_device(g, prog, mic(Mode::kPipelining), iters);
 
-  // Heterogeneous: hybrid partitioning at the per-app best ratio; CPU runs
-  // locking (faster there), MIC runs pipelining except for BFS (paper §V-C).
-  const auto owner = partition::hybrid_partition(
-      g, hetero_ratio, {.num_blocks = 256, .seed = 42});
-  const auto hetero = run_hetero(
-      g, prog, owner, cpu(Mode::kLocking),
-      mic(mic_uses_pipe ? Mode::kPipelining : Mode::kLocking), iters);
+  // Heterogeneous: a two-rank cluster (CPU = rank 0), hybrid partitioning
+  // at the per-app best ratio; CPU runs locking (faster there), MIC runs
+  // pipelining except for BFS (paper §V-C).
+  const auto hetero = run_cluster(
+      g, prog,
+      partition::hybrid_partition_k(g, hetero_weights,
+                                    {.num_blocks = 256, .seed = 42}),
+      {cpu(Mode::kLocking),
+       mic(mic_uses_pipe ? Mode::kPipelining : Mode::kLocking)},
+      iters);
 
   print_row("CPU OMP", cpu_omp.modeled.execution());
   print_row("CPU Lock", cpu_lock.modeled.execution());
@@ -77,11 +80,11 @@ void fig5_run(const std::string& figure, const std::string& app,
   json.add_version("MIC Pipe", mic_pipe.modeled.execution(), 0, mic_pipe.trace,
                    mic_pipe.phases);
   json.add_version("CPU-MIC (cpu rank)", hetero.modeled.execution_seconds,
-                   hetero.modeled.comm_seconds, hetero.cpu_trace,
-                   hetero.cpu_phases);
+                   hetero.modeled.comm_seconds, hetero.ranks[0].trace,
+                   hetero.ranks[0].phases);
   json.add_version("CPU-MIC (mic rank)", hetero.modeled.execution_seconds,
-                   hetero.modeled.comm_seconds, hetero.mic_trace,
-                   hetero.mic_phases);
+                   hetero.modeled.comm_seconds, hetero.ranks[1].trace,
+                   hetero.ranks[1].phases);
   json.set_failover(hetero.failover);
 
   const double best_single =

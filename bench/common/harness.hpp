@@ -1,6 +1,7 @@
 // Shared bench harness: workload construction at a configurable scale, the
 // paper's device/thread setups, engine runs that produce counter traces, and
-// the modeled CPU / MIC / CPU-MIC timings printed by each figure bench.
+// the modeled CPU / MIC / CPU-MIC timings printed by each figure bench (the
+// CPU-MIC run is a two-rank cluster, CPU = rank 0).
 //
 // The engines execute for real on the host (with a modest host thread
 // count); the *modeled* times price the measured traces for the paper's
@@ -164,52 +165,39 @@ DeviceRunResult<Program> run_device(const graph::Csr& g, const Program& prog,
   return out;
 }
 
-template <core::VertexProgram Program>
-struct HeteroRunResult {
-  metrics::RunTrace cpu_trace;
-  metrics::RunTrace mic_trace;
-  metrics::PhaseTrace cpu_phases;
-  metrics::PhaseTrace mic_phases;
-  metrics::RankIo cpu_io;  // per-peer exchange bytes, indexed by rank
-  metrics::RankIo mic_io;
+struct ClusterRunResult {
+  std::vector<core::RunResult> ranks;  // per-rank traces, phases and RankIo
   sim::HeteroEstimate modeled;
-  int supersteps = 0;
-  bool completed = true;
   metrics::FailoverStats failover;
 };
 
+/// Runs `prog` on a ClusterEngine with one rank per setup (the paper's
+/// CPU-MIC run is {cpu, mic}) and prices the rank traces in lockstep.
 template <core::VertexProgram Program>
-HeteroRunResult<Program> run_hetero(const graph::Csr& g, const Program& prog,
-                                    std::vector<Device> owner,
-                                    DeviceSetup cpu, DeviceSetup mic,
-                                    int max_supersteps,
-                                    const sim::LinkSpec& link = {}) {
-  cpu.engine.max_supersteps = mic.engine.max_supersteps = max_supersteps;
-  cpu.profile.msg_bytes = mic.profile.msg_bytes =
-      sizeof(typename Program::message_t);
-  cpu.profile.value_bytes = mic.profile.value_bytes =
-      sizeof(typename Program::vertex_value_t);
-  vid_t cpu_n = 0;
-  for (Device d : owner)
-    if (d == Device::Cpu) ++cpu_n;
-  cpu.profile.num_vertices = std::max<vid_t>(1, cpu_n);
-  mic.profile.num_vertices =
-      std::max<vid_t>(1, g.num_vertices() - cpu_n);
-  core::HeteroEngine<Program> he(g, std::move(owner), prog, cpu.engine,
-                                 mic.engine);
-  auto res = he.run();
-  HeteroRunResult<Program> out;
-  out.modeled =
-      sim::model_hetero(res.cpu.trace, cpu.spec, cpu.profile, res.mic.trace,
-                        mic.spec, mic.profile, link);
-  out.supersteps = res.cpu.supersteps;
-  out.cpu_trace = std::move(res.cpu.trace);
-  out.mic_trace = std::move(res.mic.trace);
-  out.cpu_phases = std::move(res.cpu.phases);
-  out.mic_phases = std::move(res.mic.phases);
-  out.cpu_io = std::move(res.cpu.io);
-  out.mic_io = std::move(res.mic.io);
-  out.completed = res.completed;
+ClusterRunResult run_cluster(const graph::Csr& g, const Program& prog,
+                             std::vector<int> owner,
+                             std::vector<DeviceSetup> ranks,
+                             int max_supersteps,
+                             const sim::LinkSpec& link = {}) {
+  std::vector<vid_t> verts(ranks.size(), 0);
+  for (const int r : owner) ++verts[static_cast<std::size_t>(r)];
+  std::vector<core::EngineConfig> cfgs;
+  for (std::size_t r = 0; r < ranks.size(); ++r) {
+    DeviceSetup& s = ranks[r];
+    s.engine.max_supersteps = max_supersteps;
+    s.profile.msg_bytes = sizeof(typename Program::message_t);
+    s.profile.value_bytes = sizeof(typename Program::vertex_value_t);
+    s.profile.num_vertices = std::max<vid_t>(1, verts[r]);
+    cfgs.push_back(s.engine);
+  }
+  core::ClusterEngine<Program> ce(g, std::move(owner), prog, std::move(cfgs));
+  auto res = ce.run();
+  std::vector<sim::RankModelInput> in;
+  for (std::size_t r = 0; r < ranks.size(); ++r)
+    in.push_back({&res.ranks[r].trace, ranks[r].spec, ranks[r].profile});
+  ClusterRunResult out;
+  out.modeled = sim::model_cluster(in, link);
+  out.ranks = std::move(res.ranks);
   out.failover = res.failover;
   return out;
 }

@@ -58,7 +58,7 @@ int main() {
 
   bench::fig5_run("Fig 5(b)", "BFS", g, prog,
                   iters,
-                  partition::Ratio{4, 3},
+                  partition::RankWeights{4, 3},
                   /*mic_uses_pipe=*/false,  // paper uses locking for BFS
                   {.mic_pipe_vs_lock = "0.84x (locking 1.19x faster)",
                    .mic_best_vs_omp = "1.54x (Lock vs OMP)",

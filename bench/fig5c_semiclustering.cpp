@@ -9,7 +9,7 @@ int main() {
   const auto scale = bench::get_scale();
   const auto g = bench::make_dblp(scale);
   bench::fig5_run("Fig 5(c)", "SemiClustering", g, apps::SemiClustering{},
-                  scale.sc_iters, partition::Ratio{2, 1},
+                  scale.sc_iters, partition::RankWeights{2, 1},
                   /*mic_uses_pipe=*/true,
                   {.mic_pipe_vs_lock = "1.25x",
                    .mic_best_vs_omp = "1.17x (Pipe vs OMP)",

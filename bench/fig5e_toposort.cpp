@@ -9,7 +9,7 @@ int main() {
   const auto scale = bench::get_scale();
   const auto g = bench::make_dag(scale);
   bench::fig5_run("Fig 5(e)", "TopoSort", g, apps::TopoSort{}, /*iters=*/10000,
-                  partition::Ratio{1, 4},
+                  partition::RankWeights{1, 4},
                   /*mic_uses_pipe=*/true,
                   {.mic_pipe_vs_lock = "3.36x",
                    .mic_best_vs_omp = "4.15x (Pipe vs OMP)",

@@ -1,8 +1,9 @@
 // Fig. 6: impact of the graph partitioning method on CPU-MIC execution.
 //
-// Each application runs heterogeneously under continuous, round-robin, and
-// hybrid partitioning at its best ratio from Fig. 5; execution time (slower
-// device) and communication time are reported separately, plus the paper's
+// Each application runs on a two-rank CPU-MIC cluster under continuous,
+// round-robin, and hybrid partitioning at its best ratio from Fig. 5;
+// execution time (slower device) and communication time are reported
+// separately, plus the paper's
 // headline speedups of hybrid over the other two and the cross-edge ratio
 // (round-robin cut 2.27x more edges than hybrid for PageRank).
 //
@@ -38,7 +39,7 @@ struct SchemeResult {
 
 template <core::VertexProgram Program>
 void run_app(const char* app, const graph::Csr& g, const Program& prog,
-             int iters, partition::Ratio ratio, bool mic_pipe,
+             int iters, const partition::RankWeights& ratio, bool mic_pipe,
              const bench::AppCost& cost, const char* paper_band,
              bench::JsonEmitter* json, bool emit_uncombined = false) {
   const auto cpu = with_cost(bench::cpu_setup(ExecMode::kLocking), cost);
@@ -50,38 +51,39 @@ void run_app(const char* app, const graph::Csr& g, const Program& prog,
   SchemeResult res[3];
   const char* names[3] = {"Continuous", "Round-robin", "Hybrid"};
   for (int i = 0; i < 3; ++i) {
-    std::vector<Device> owner =
-        i == 0   ? partition::continuous_partition(g, ratio)
-        : i == 1 ? partition::round_robin_partition(g, ratio)
-                 : partition::hybrid_partition(bp, ratio);
+    std::vector<int> owner =
+        i == 0   ? partition::continuous_partition_k(g, ratio)
+        : i == 1 ? partition::round_robin_partition_k(g, ratio)
+                 : partition::hybrid_partition_k(bp, ratio);
     res[i].cross_edges =
-        partition::evaluate_partition(g, owner).cross_edges;
-    const auto run = bench::run_hetero(g, prog, std::move(owner), cpu, mic, iters);
+        partition::evaluate_partition_k(g, owner, 2).cross_edges;
+    const auto run =
+        bench::run_cluster(g, prog, std::move(owner), {cpu, mic}, iters);
     res[i].exec = run.modeled.execution_seconds;
     res[i].comm = run.modeled.comm_seconds;
     if (json) {
       json->add_version(std::string(app) + "/" + names[i], res[i].exec,
-                        res[i].comm, run.cpu_trace, run.cpu_phases);
+                        res[i].comm, run.ranks[0].trace, run.ranks[0].phases);
       if (i == 2 && emit_uncombined) {
         // The combiner lever: same hybrid partition, sender-side combining
         // off. Workload counters stay identical; only the wire bytes grow.
         auto cpu_raw = cpu;
         auto mic_raw = mic;
         cpu_raw.engine.combine_remote = mic_raw.engine.combine_remote = false;
-        std::vector<Device> owner2 = partition::hybrid_partition(bp, ratio);
-        const auto raw = bench::run_hetero(g, prog, std::move(owner2), cpu_raw,
-                                           mic_raw, iters);
+        const auto raw = bench::run_cluster(
+            g, prog, partition::hybrid_partition_k(bp, ratio),
+            {cpu_raw, mic_raw}, iters);
         json->add_version(std::string(app) + "/Hybrid-uncombined",
                           raw.modeled.execution_seconds,
-                          raw.modeled.comm_seconds, raw.cpu_trace,
-                          raw.cpu_phases);
-        json->set_ranks({run.cpu_io, run.mic_io});
+                          raw.modeled.comm_seconds, raw.ranks[0].trace,
+                          raw.ranks[0].phases);
+        json->set_ranks({run.ranks[0].io, run.ranks[1].io});
         json->set_failover(run.failover);
       }
     }
   }
 
-  std::printf("\n-- %s (ratio %d:%d) --\n", app, ratio.cpu, ratio.mic);
+  std::printf("\n-- %s (ratio %d:%d) --\n", app, ratio[0], ratio[1]);
   std::printf("   %-12s %10s %10s %12s\n", "scheme", "exec (s)", "comm (s)",
               "cross edges");
   for (int i = 0; i < 3; ++i)

@@ -54,11 +54,12 @@ void tune_app(const char* name, const graph::Csr& g, const Program& prog,
   tune::TuneDevice mic{setup.engine, setup.profile, setup.spec};
   cpu.engine.max_supersteps = mic.engine.max_supersteps = iters;
   const auto bp = partition::blocked_min_cut(g, {.num_blocks = 64, .seed = 5});
-  const std::vector<partition::Ratio> candidates = {
+  const std::vector<partition::RankWeights> candidates = {
       {1, 4}, {1, 2}, {3, 5}, {1, 1}, {4, 3}, {2, 1}, {4, 1}};
-  const auto ratio = tune::tune_partition_ratio(g, prog, bp, candidates, cpu, mic);
+  const auto ratio =
+      tune::tune_partition_ratio(g, prog, bp, candidates, {cpu, mic});
   std::printf("   -> tuner picks ratio %d:%d at %.4fs (paper hand-tuned: %s)\n",
-              ratio.ratio.cpu, ratio.ratio.mic, ratio.modeled_seconds,
+              ratio.weights[0], ratio.weights[1], ratio.modeled_seconds,
               paper_ratio);
 }
 

@@ -1,6 +1,6 @@
 // Ablation: the blocked min-cut partitioner (the Metis substitute) — cut
 // quality and runtime vs block count, and cut/balance of the three
-// vertex->device schemes (the mechanics behind Fig. 6).
+// vertex->rank schemes at two ranks (the mechanics behind Fig. 6).
 #include <benchmark/benchmark.h>
 
 #include "src/gen/generators.hpp"
@@ -29,25 +29,25 @@ void bm_blocked_min_cut(benchmark::State& state) {
 
 void bm_scheme_cut(benchmark::State& state) {
   const auto& g = social_graph();
-  const partition::Ratio r{3, 5};
+  const partition::RankWeights w{3, 5};
   const auto bp =
       partition::blocked_min_cut(g, {.num_blocks = 256, .seed = 3});
-  partition::PartitionStats stats;
+  partition::KwayStats stats;
   for (auto _ : state) {
-    std::vector<Device> owner;
+    std::vector<int> owner;
     switch (state.range(0)) {
-      case 0: owner = partition::continuous_partition(g, r); break;
-      case 1: owner = partition::round_robin_partition(g, r); break;
-      default: owner = partition::hybrid_partition(bp, r); break;
+      case 0: owner = partition::continuous_partition_k(g, w); break;
+      case 1: owner = partition::round_robin_partition_k(g, w); break;
+      default: owner = partition::hybrid_partition_k(bp, w); break;
     }
-    stats = partition::evaluate_partition(g, owner);
+    stats = partition::evaluate_partition_k(g, owner, 2);
     benchmark::DoNotOptimize(stats.cross_edges);
   }
   static const char* names[] = {"continuous", "round-robin", "hybrid"};
   state.SetLabel(names[state.range(0)]);
   state.counters["cross_ratio"] = static_cast<double>(stats.cross_edges) /
                                   static_cast<double>(g.num_edges());
-  state.counters["balance_err"] = stats.balance_error(r);
+  state.counters["balance_err"] = stats.balance_error(w);
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ using core::ExecMode;
 
 template <core::VertexProgram Program>
 void run_app(const char* app, const graph::Csr& g, const Program& prog,
-             int iters, partition::Ratio ratio, bool mic_pipe,
+             int iters, const partition::RankWeights& ratio, bool mic_pipe,
              const bench::AppCost& cost, const char* paper_row) {
   auto paper = [&](bench::DeviceSetup s) {
     return bench::with_direction(with_cost(s, cost),
@@ -53,11 +53,10 @@ void run_app(const char* app, const graph::Csr& g, const Program& prog,
   const double mic_many = std::min(mic_run_lock.modeled.execution(),
                                    mic_run_pipe.modeled.execution());
 
-  const auto owner = partition::hybrid_partition(
-      g, ratio, {.num_blocks = 256, .seed = 42});
-  const auto hetero = bench::run_hetero(
-      g, prog, owner, cpu_lock,
-      mic_pipe ? mic_pipe_s : mic_lock, iters);
+  const auto hetero = bench::run_cluster(
+      g, prog,
+      partition::hybrid_partition_k(g, ratio, {.num_blocks = 256, .seed = 42}),
+      {cpu_lock, mic_pipe ? mic_pipe_s : mic_lock}, iters);
   const double hetero_total = hetero.modeled.total();
 
   std::printf("\n-- %s --\n", app);

@@ -31,13 +31,15 @@
 //   --direction=D        traversal direction: auto (alpha/beta rule, the
 //                        default), push (always top-down), pull (bottom-up
 //                        whenever the program and topology allow it)
-//   --hetero             run CPU+MIC with hybrid partitioning
+//   --hetero             run CPU+MIC as a two-rank cluster (rank 0 = CPU,
+//                        rank 1 = MIC) with hybrid partitioning
 //   --ratio=A:B          CPU:MIC workload ratio (default 1:1)
 //   --scheme=S           partition scheme for --hetero: continuous | rr |
 //                        hybrid (default) | hdrf | dbh — the last two are
 //                        the streaming vertex-cut partitioners (owner map =
 //                        their master assignment)
-//   --partition=FILE     use an existing partitioning file
+//   --partition=FILE     use an existing partitioning file (vertex count,
+//                        then one rank, 0 or 1, per vertex)
 //   --partition-out=FILE save the computed partitioning
 //   --out=FILE           write per-vertex results
 #include <algorithm>
@@ -83,7 +85,7 @@ struct Options {
   double frontier = core::EngineConfig{}.sparse_iteration_threshold;
   core::DirectionMode direction = core::DirectionMode::kAuto;
   bool hetero = false;
-  partition::Ratio ratio{1, 1};
+  partition::RankWeights ratio{1, 1};  // CPU:MIC
   partition::Scheme scheme = partition::Scheme::kHybrid;
   bool serve = false;
   int batch_max = core::EngineConfig{}.serve_batch_max;
@@ -135,7 +137,7 @@ Options parse(int argc, char** argv) {
     else if (auto vq = val("--queue-cap")) o.queue_cap = std::stoi(*vq);
     else if (arg == "--hetero") o.hetero = true;
     else if (auto v10 = val("--ratio")) {
-      if (std::sscanf(v10->c_str(), "%d:%d", &o.ratio.cpu, &o.ratio.mic) != 2)
+      if (std::sscanf(v10->c_str(), "%d:%d", &o.ratio[0], &o.ratio[1]) != 2)
         usage("bad --ratio, expected A:B");
     } else if (auto vs = val("--scheme")) {
       if (*vs == "continuous") o.scheme = partition::Scheme::kContinuous;
@@ -204,30 +206,24 @@ int run_app(const Options& o, const graph::Csr& g, const Program& prog,
   int supersteps = 0;
   metrics::SuperstepCounters totals{};
   if (o.hetero) {
-    std::vector<Device> owner;
-    if (!o.partition_path.empty()) {
-      owner = partition::load_partition(o.partition_path);
-    } else {
-      // All five schemes flow through the k-way dispatcher with k = 2:
-      // rank 0 is the CPU, rank 1 the MIC, weighted by --ratio.
-      const auto ranks = partition::make_partition_k(
-          o.scheme, g, {o.ratio.cpu, o.ratio.mic});
-      owner.reserve(ranks.size());
-      for (int r : ranks)
-        owner.push_back(r == 0 ? Device::Cpu : Device::Mic);
-    }
+    // All five schemes flow through the k-way dispatcher with k = 2: rank 0
+    // is the CPU, rank 1 the MIC, weighted by --ratio.
+    auto owner = o.partition_path.empty()
+                     ? partition::make_partition_k(o.scheme, g, o.ratio)
+                     : partition::load_partition(o.partition_path,
+                                                 g.num_vertices(), 2);
     if (!o.partition_out.empty())
       partition::save_partition(owner, o.partition_out);
     auto cpu_cfg = make_cfg(o, default_iters);
     cpu_cfg.simd_bytes = simd::kCpuSimdBytes;
     auto mic_cfg = make_cfg(o, default_iters);
     mic_cfg.simd_bytes = simd::kMicSimdBytes;
-    core::HeteroEngine<Program> engine(g, std::move(owner), prog, cpu_cfg,
-                                       mic_cfg);
+    core::ClusterEngine<Program> engine(g, std::move(owner), prog,
+                                        {cpu_cfg, mic_cfg});
     auto res = engine.run();
     values = std::move(res.global_values);
-    supersteps = res.cpu.supersteps;
-    totals = metrics::totals(res.cpu.trace);
+    supersteps = res.ranks[0].supersteps;
+    totals = metrics::totals(res.ranks[0].trace);
   } else {
     auto res = core::run_single(g, prog, make_cfg(o, default_iters));
     values = std::move(res.values);

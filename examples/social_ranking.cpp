@@ -1,6 +1,7 @@
 // Social-network influence ranking: PageRank on a Pokec-like social graph,
-// executed heterogeneously across the CPU and the (simulated) MIC with
-// hybrid graph partitioning — the paper's flagship workload end-to-end.
+// executed heterogeneously across the CPU (rank 0) and the (simulated) MIC
+// (rank 1) of a two-rank cluster with hybrid graph partitioning — the
+// paper's flagship workload end-to-end.
 //
 //   $ ./social_ranking [num_vertices] [num_edges]
 #include <algorithm>
@@ -25,9 +26,8 @@ int main(int argc, char** argv) {
 
   // Partition the workload 3:5 between CPU and MIC using the hybrid scheme
   // (256 min-cut blocks dealt to devices by cumulative edge weight).
-  const partition::Ratio ratio{3, 5};
-  auto owner = partition::hybrid_partition(g, ratio, {.num_blocks = 256});
-  const auto pstats = partition::evaluate_partition(g, owner);
+  auto owner = partition::hybrid_partition_k(g, {3, 5}, {.num_blocks = 256});
+  const auto pstats = partition::evaluate_partition_k(g, owner, 2);
   std::printf("hybrid partition 3:5 -> CPU %llu edges, MIC %llu edges, "
               "%llu cross edges (%.1f%%)\n",
               static_cast<unsigned long long>(pstats.edges[0]),
@@ -51,8 +51,9 @@ int main(int argc, char** argv) {
   mic_cfg.movers = 2;
   mic_cfg.max_supersteps = 20;
 
-  core::HeteroEngine<apps::PageRank> engine(g, std::move(owner),
-                                            apps::PageRank{}, cpu_cfg, mic_cfg);
+  core::ClusterEngine<apps::PageRank> engine(g, std::move(owner),
+                                             apps::PageRank{},
+                                             {cpu_cfg, mic_cfg});
   auto res = engine.run();
 
   // Top influencers.
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
                       return res.global_values[a] > res.global_values[b];
                     });
   std::printf("\ntop 10 users by PageRank after %d supersteps:\n",
-              res.cpu.supersteps);
+              res.ranks[0].supersteps);
   for (int i = 0; i < 10; ++i)
     std::printf("  #%2d user %6u  rank %.3f\n", i + 1, order[i],
                 res.global_values[order[i]]);
@@ -73,9 +74,10 @@ int main(int argc, char** argv) {
   cpu_prof.num_vertices = pstats.verts[0];
   sim::ExecProfile mic_prof{core::ExecMode::kPipelining, 180, 60, true, 16};
   mic_prof.num_vertices = pstats.verts[1];
-  const auto est = sim::model_hetero(res.cpu.trace, sim::xeon_e5_2680(),
-                                     cpu_prof, res.mic.trace,
-                                     sim::xeon_phi_se10p(), mic_prof, {});
+  const auto est = sim::model_cluster(
+      {{&res.ranks[0].trace, sim::xeon_e5_2680(), cpu_prof},
+       {&res.ranks[1].trace, sim::xeon_phi_se10p(), mic_prof}},
+      {});
   std::printf("\nmodeled heterogeneous run on the paper's node: "
               "%.3fs execution + %.3fs PCIe communication\n",
               est.execution_seconds, est.comm_seconds);

@@ -1,20 +1,17 @@
-// Rendezvous exchanges — the in-process stand-in for the paper's MPI
-// symmetric computing (CPU = rank 0, MIC = rank 1).
+// Rendezvous exchange — the in-process stand-in for the paper's MPI
+// symmetric computing (CPU = rank 0, MIC = rank 1, generalized to N ranks).
 //
-// Each superstep the devices swap exactly one combined message batch per
+// Each superstep every rank swaps exactly one combined message batch per
 // peer (the paper: "The combination result is sent to the other device as a
-// single MPI message") plus one termination-control word. Exchange<T>
-// implements the blocking pairwise swap of the paper's two-rank
-// configuration; AllToAll<T> generalizes it to N ranks with one staging slot
-// per (source, destination) pair — the MPI_Alltoall analogue the cluster
-// engine uses.
+// single MPI message") plus one termination-control word. AllToAll<T> is the
+// MPI_Alltoall analogue: one staging slot per (source, destination) pair.
 //
-// Fault tolerance (see DESIGN.md §6): the historical exchange() blocks
-// forever, so a peer that dies mid-superstep deadlocks the survivor.
-// exchange_for() bounds every wait by a deadline, and poison() lets a
-// failing rank wake its peers *immediately* with a structured FaultReport.
-// A poisoned exchange never re-arms: every later call from any rank returns
-// kPeerFailed at once, so retries cannot resurrect a half-dead rendezvous.
+// Fault tolerance (see DESIGN.md §6): exchange_for() bounds every wait by a
+// deadline, so a peer that dies mid-superstep cannot deadlock the survivor,
+// and poison() lets a failing rank wake its peers *immediately* with a
+// structured FaultReport. A poisoned channel never re-arms within an epoch:
+// every later call from any rank returns kPeerFailed at once, so retries
+// cannot resurrect a half-dead rendezvous.
 #pragma once
 
 #include <chrono>
@@ -45,129 +42,17 @@ constexpr const char* exchange_status_name(ExchangeStatus s) noexcept {
   return "?";
 }
 
-template <typename T>
-class Exchange {
- public:
-  struct Result {
-    ExchangeStatus status = ExchangeStatus::kOk;
-    T value{};                  // the peer's contribution (kOk only)
-    fault::FaultReport fault;   // the poison reason (kPeerFailed only)
-
-    [[nodiscard]] explicit operator bool() const noexcept {
-      return status == ExchangeStatus::kOk;
-    }
-  };
-
-  /// Deposits `mine` as rank `rank`'s contribution and blocks until the
-  /// other rank's contribution is available; returns it. Reusable across
-  /// rounds: a slot is only refilled after its previous value was consumed.
-  /// Aborts if the channel was poisoned — callers that must survive a peer
-  /// failure use exchange_for().
-  T exchange(int rank, T mine) {
-    Result r = exchange_for(rank, std::move(mine), kForever);
-    PG_CHECK_FMT(r.status == ExchangeStatus::kOk,
-                 "Exchange::exchange on a dead channel (%s); use "
-                 "exchange_for() on fault-tolerant paths",
-                 exchange_status_name(r.status));
-    return std::move(r.value);
-  }
-
-  /// Deadline-bounded exchange. Returns kOk with the peer's value, kTimeout
-  /// if the peer did not arrive in time (the deposit is retracted if still
-  /// unconsumed, so the channel is not left half-advanced), or kPeerFailed
-  /// with the poisoning rank's FaultReport. Once poisoned, every call from
-  /// either rank returns kPeerFailed immediately.
-  Result exchange_for(int rank, T mine, std::chrono::milliseconds deadline) {
-    PG_CHECK(rank == 0 || rank == 1);
-    // The whole rendezvous (both waits) is the PCIe-latency stand-in; the
-    // span has no superstep of its own — exchanges also carry control
-    // traffic — so it is excluded from phase-time accounting.
-    PG_TRACE_SCOPE(kExchangeWait, -1, rank);
-    const int peer = 1 - rank;
-    const auto until = std::chrono::steady_clock::now() + deadline;
-    std::unique_lock<sync::Mutex> l(mu_);
-    if (!cv_.wait_until(l, until, [&] { return poisoned_ || !present_[rank]; }))
-      return Result{ExchangeStatus::kTimeout, T{}, {}};
-    if (poisoned_) return poisoned_result();
-    // slot_/present_ are plain shared state; every access is under mu_, so
-    // the model race detector sees them ordered through the mutex clocks.
-    sync::plain_write(&slot_[rank], "Exchange staging slot");
-    slot_[rank] = std::move(mine);
-    present_[rank] = true;
-    cv_.notify_all();
-    if (!cv_.wait_until(l, until, [&] { return poisoned_ || present_[peer]; })) {
-      if (present_[rank]) {  // peer never consumed it: retract
-        sync::plain_write(&slot_[rank], "Exchange staging slot");
-        slot_[rank] = T{};
-        present_[rank] = false;
-      }
-      return Result{ExchangeStatus::kTimeout, T{}, {}};
-    }
-    if (poisoned_) return poisoned_result();
-    Result r;
-    sync::plain_read(&slot_[peer], "Exchange staging slot");
-    r.value = std::move(slot_[peer]);
-    sync::plain_write(&slot_[peer], "Exchange staging slot");
-    present_[peer] = false;
-    cv_.notify_all();
-    return r;
-  }
-
-  /// Marks the channel dead on behalf of `rank` and wakes any waiter. The
-  /// first report wins (a second poison from the other rank is dropped);
-  /// there is no un-poison.
-  void poison(int rank, fault::FaultReport reason) {
-    PG_CHECK(rank == 0 || rank == 1);
-    {
-      sync::LockGuard l(mu_);
-      if (!poisoned_) {
-        poisoned_ = true;
-        fault_ = std::move(reason);
-      }
-    }
-    cv_.notify_all();
-  }
-
-  [[nodiscard]] bool poisoned() const {
-    sync::LockGuard l(mu_);
-    return poisoned_;
-  }
-
-  /// The poison reason (default-constructed report if not poisoned).
-  [[nodiscard]] fault::FaultReport fault() const {
-    sync::LockGuard l(mu_);
-    return fault_;
-  }
-
- private:
-  // "Forever" for the legacy blocking wrapper: one year, far past any
-  // plausible run, without risking time_point overflow.
-  static constexpr std::chrono::milliseconds kForever =
-      std::chrono::hours(24 * 365);
-
-  Result poisoned_result() const {
-    return Result{ExchangeStatus::kPeerFailed, T{}, fault_};
-  }
-
-  mutable sync::Mutex mu_;
-  sync::CondVar cv_;
-  T slot_[2];
-  bool present_[2] = {false, false};
-  bool poisoned_ = false;
-  fault::FaultReport fault_;
-};
-
 /// N-rank all-to-all rendezvous over an N x N staging-slot matrix. Each round
 /// every rank deposits one value per destination and blocks until every
-/// peer's value for it has arrived. The two-phase protocol mirrors
-/// Exchange<T>: a rank first waits for its *previous* deposits to be
-/// consumed (so rounds cannot overtake each other), then deposits, then
-/// waits for all inbound slots, consumes them, and wakes the depositors.
+/// peer's value for it has arrived. Two phases: a rank first waits for its
+/// *previous* deposits to be consumed (so rounds cannot overtake each
+/// other), then deposits, then waits for all inbound slots, consumes them,
+/// and wakes the depositors.
 ///
-/// Fault semantics are identical to Exchange<T> *within an epoch*: poison()
-/// is first-wins; a timeout retracts this rank's unconsumed deposits so the
-/// matrix is not left half-advanced, and reports the first peer that had not
-/// arrived (Result::fault.rank) so the caller can name the suspect.
+/// Within an epoch poison() is first-wins; a timeout retracts this rank's
+/// unconsumed deposits so the matrix is not left half-advanced, and reports
+/// the first peer that had not arrived (Result::fault.rank) so the caller
+/// can name the suspect.
 ///
 /// Recovery epochs: the ladder in ClusterEngine aborts a round, restores
 /// engines from a checkpoint, and reuses the same channel. advance_epoch()
@@ -212,6 +97,9 @@ class AllToAll {
     PG_CHECK(rank >= 0 && rank < n_);
     PG_CHECK_MSG(static_cast<int>(outgoing.size()) == n_,
                  "AllToAll: one outgoing value per rank is required");
+    // The whole rendezvous (both waits) is the PCIe-latency stand-in; the
+    // span has no superstep of its own — exchanges also carry control
+    // traffic — so it is excluded from phase-time accounting.
     PG_TRACE_SCOPE(kExchangeWait, -1, rank);
     if (n_ == 1) {
       Result r;

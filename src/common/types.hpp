@@ -18,20 +18,4 @@ using eid_t = std::uint64_t;
 /// Sentinel for "no vertex".
 inline constexpr vid_t kInvalidVertex = std::numeric_limits<vid_t>::max();
 
-/// Which device of the heterogeneous node a vertex/rank lives on.
-/// The paper runs MPI symmetric computing with CPU = rank 0, MIC = rank 1.
-enum class Device : std::uint8_t { Cpu = 0, Mic = 1 };
-
-inline constexpr int kNumDevices = 2;
-
-constexpr Device other_device(Device d) noexcept {
-  return d == Device::Cpu ? Device::Mic : Device::Cpu;
-}
-
-constexpr const char* device_name(Device d) noexcept {
-  return d == Device::Cpu ? "CPU" : "MIC";
-}
-
-constexpr int device_index(Device d) noexcept { return static_cast<int>(d); }
-
 }  // namespace phigraph

@@ -77,11 +77,6 @@ struct EngineConfig {
   /// always push.
   DirectionMode direction_mode = DirectionMode::kAuto;
 
-  /// Direction-switch thresholds (see core/direction.hpp). Autotunable via
-  /// tune::tune_direction_thresholds.
-  double direction_alpha = 14.0;
-  double direction_beta = 24.0;
-
   /// Shards for the remote buffer's touched lists: deposits contend per
   /// shard and the exchange drain parallelizes over shards. Rounded up to a
   /// power of two (per destination rank on N-rank runs).
@@ -100,7 +95,7 @@ struct EngineConfig {
   /// heterogeneous runs. A peer that misses the deadline is declared dead:
   /// the waiting rank poisons the channels and fails over (see DESIGN.md
   /// §6). Generous by default — failing ranks poison their peer *immediately*
-  /// via Exchange::poison, so the deadline only catches wedged (not crashed)
+  /// via AllToAll::poison, so the deadline only catches wedged (not crashed)
   /// devices.
   int exchange_deadline_ms = 30000;
 

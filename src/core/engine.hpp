@@ -30,7 +30,7 @@
 // Fault tolerance (DESIGN.md §6): exceptions escaping the three user
 // callbacks on team threads are captured and rethrown on the orchestrator
 // (a team thread letting one escape would std::terminate). On heterogeneous
-// runs the orchestrator converts any such fault into an Exchange poison —
+// runs the orchestrator converts any such fault into an AllToAll poison —
 // the peer wakes immediately with a structured FaultReport — and run()
 // returns with RunResult::failed set instead of crashing. Peer exchanges
 // are deadline-bounded, and an optional checkpoint store snapshots
@@ -197,8 +197,6 @@ class DeviceEngine {
       pull_acc_.resize(n);
       pull_has_.assign(n, 0);
     }
-    dir_policy_.alpha = cfg_.direction_alpha;
-    dir_policy_.beta = cfg_.direction_beta;
     init_vertices();
   }
 

@@ -6,7 +6,7 @@
 // device are separately configured" — wired by an all-to-all data exchange
 // and a termination-control exchange, rank 0 running on the calling thread
 // and every other rank on its own host thread. The paper's CPU+MIC
-// configuration is the two-rank case, exposed unchanged as HeteroEngine.
+// configuration is the two-rank case (CPU = rank 0, MIC = rank 1).
 //
 // Fault tolerance (DESIGN.md §6/§12): the spawned rank threads are joined by
 // a scope guard, so an exception on the rank-0 path can no longer
@@ -35,7 +35,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -57,25 +56,11 @@
 
 namespace phigraph::core {
 
-/// Joins the wrapped thread on scope exit. Keeps run() exception-safe:
+/// Joins every thread of a group on scope exit. Keeps run() exception-safe:
 /// std::thread's destructor calls std::terminate when the thread is still
 /// joinable, so without the guard any throw between spawn and join
 /// (user-program exception, PG_CHECK in a death test, ...) kills the whole
 /// process instead of unwinding.
-class ThreadJoiner {
- public:
-  explicit ThreadJoiner(std::thread& t) noexcept : t_(t) {}
-  ~ThreadJoiner() {
-    if (t_.joinable()) t_.join();
-  }
-  ThreadJoiner(const ThreadJoiner&) = delete;
-  ThreadJoiner& operator=(const ThreadJoiner&) = delete;
-
- private:
-  std::thread& t_;
-};
-
-/// Joins every thread of a group on scope exit (the N-rank ThreadJoiner).
 class ThreadGroupJoiner {
  public:
   explicit ThreadGroupJoiner(std::vector<std::thread>& ts) noexcept
@@ -626,65 +611,6 @@ class ClusterEngine {
   EngineConfig recovery_cfg_;
   fault::RetryPolicy retry_;
   std::vector<std::unique_ptr<Engine>> engines_;
-};
-
-/// The paper's heterogeneous CPU+MIC configuration: a two-rank ClusterEngine
-/// (CPU = rank 0, MIC = rank 1) with the historical Device-keyed interface
-/// and result shape.
-template <VertexProgram Program>
-class HeteroEngine {
- public:
-  using Msg = typename Program::message_t;
-  using Value = typename Program::vertex_value_t;
-  using Engine = DeviceEngine<Program>;
-
-  struct Result {
-    RunResult cpu;
-    RunResult mic;
-    std::vector<Value> global_values;  // gathered over both devices
-
-    // Fault-tolerance outcome; see ClusterEngine::Result.
-    bool completed = true;
-    fault::FaultReport fault;
-    RunResult recovery;
-    metrics::FailoverStats failover;
-  };
-
-  /// owner[v] assigns each global vertex to a device (from src/partition).
-  HeteroEngine(const graph::Csr& g, std::vector<Device> owner, Program prog,
-               EngineConfig cpu_cfg, EngineConfig mic_cfg)
-      : cluster_(g, to_ranks(owner), std::move(prog),
-                 {std::move(cpu_cfg), std::move(mic_cfg)}) {}
-
-  Result run() {
-    auto cr = cluster_.run();
-    Result res;
-    res.cpu = std::move(cr.ranks[0]);
-    res.mic = std::move(cr.ranks[1]);
-    res.global_values = std::move(cr.global_values);
-    res.completed = cr.completed;
-    res.fault = std::move(cr.fault);
-    res.recovery = std::move(cr.recovery);
-    res.failover = cr.failover;
-    return res;
-  }
-
-  [[nodiscard]] const Engine& cpu_engine() const noexcept {
-    return cluster_.engine(0);
-  }
-  [[nodiscard]] const Engine& mic_engine() const noexcept {
-    return cluster_.engine(1);
-  }
-
- private:
-  static std::vector<int> to_ranks(const std::vector<Device>& owner) {
-    std::vector<int> ranks(owner.size());
-    for (std::size_t v = 0; v < owner.size(); ++v)
-      ranks[v] = device_index(owner[v]);
-    return ranks;
-  }
-
-  ClusterEngine<Program> cluster_;
 };
 
 /// Convenience: run a program on the whole graph with one device config.

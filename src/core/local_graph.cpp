@@ -6,26 +6,13 @@
 
 namespace phigraph::core {
 
-namespace {
-
-Device device_label(int rank) noexcept {
-  return rank >= 1 ? Device::Mic : Device::Cpu;
-}
-
-}  // namespace
-
-LocalGraph LocalGraph::whole(const graph::Csr& g, Device device) {
+LocalGraph LocalGraph::whole(const graph::Csr& g) {
   LocalGraph lg;
-  lg.device = device;
-  lg.rank = device_index(device);
-  lg.nranks = 1;
   lg.global_num_vertices = g.num_vertices();
   lg.local = g;
   lg.global_id.resize(g.num_vertices());
   for (vid_t v = 0; v < g.num_vertices(); ++v) lg.global_id[v] = v;
   lg.in_degree = g.in_degrees();
-  lg.owner = std::make_shared<const std::vector<Device>>(
-      g.num_vertices(), device);
   lg.owner_rank = std::make_shared<const std::vector<int>>(
       g.num_vertices(), lg.rank);
   lg.local_of = std::make_shared<const std::vector<vid_t>>(lg.global_id);
@@ -58,7 +45,6 @@ std::vector<LocalGraph> LocalGraph::split_n(const graph::Csr& g,
   std::vector<LocalGraph> out(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     LocalGraph& lg = out[static_cast<std::size_t>(r)];
-    lg.device = device_label(r);
     lg.rank = r;
     lg.nranks = nranks;
     lg.global_num_vertices = n;
@@ -92,37 +78,6 @@ std::vector<LocalGraph> LocalGraph::split_n(const graph::Csr& g,
                           std::move(values), /*target_space=*/n);
   }
   return out;
-}
-
-std::array<LocalGraph, 2> LocalGraph::split(const graph::Csr& g,
-                                            std::vector<Device> owner) {
-  std::vector<int> ranks(owner.size());
-  for (std::size_t v = 0; v < owner.size(); ++v)
-    ranks[v] = device_index(owner[v]);
-  auto parts = split_n(g, std::move(ranks), kNumDevices);
-  auto shared_owner =
-      std::make_shared<const std::vector<Device>>(std::move(owner));
-  std::array<LocalGraph, 2> out{std::move(parts[0]), std::move(parts[1])};
-  for (LocalGraph& lg : out) lg.owner = shared_owner;
-  return out;
-}
-
-eid_t LocalGraph::count_cross_edges(const graph::Csr& g,
-                                    std::span<const Device> owner) {
-  eid_t cross = 0;
-  for (vid_t u = 0; u < g.num_vertices(); ++u)
-    for (vid_t v : g.out_neighbors(u))
-      if (owner[u] != owner[v]) ++cross;
-  return cross;
-}
-
-eid_t LocalGraph::count_cross_edges_n(const graph::Csr& g,
-                                      std::span<const int> owner_rank) {
-  eid_t cross = 0;
-  for (vid_t u = 0; u < g.num_vertices(); ++u)
-    for (vid_t v : g.out_neighbors(u))
-      if (owner_rank[u] != owner_rank[v]) ++cross;
-  return cross;
 }
 
 }  // namespace phigraph::core

@@ -8,13 +8,10 @@
 // messages a vertex can receive from anywhere).
 //
 // Ownership is rank-based: the paper's two-rank configuration (CPU = rank 0,
-// MIC = rank 1) is the nranks == 2 special case of split_n(); the Device
-// enum survives as a convenience label on those two ranks.
+// MIC = rank 1) is the nranks == 2 special case of split_n().
 #pragma once
 
-#include <array>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "src/common/types.hpp"
@@ -23,9 +20,8 @@
 namespace phigraph::core {
 
 struct LocalGraph {
-  Device device = Device::Cpu;  // label for ranks 0/1 (rank >= 1 -> Mic)
-  int rank = 0;                 // this partition's rank
-  int nranks = 1;               // ranks in the split this partition came from
+  int rank = 0;    // this partition's rank
+  int nranks = 1;  // ranks in the split this partition came from
   vid_t global_num_vertices = 0;
 
   graph::Csr local;                // local source id -> global targets
@@ -36,36 +32,18 @@ struct LocalGraph {
   std::shared_ptr<const std::vector<int>> owner_rank;  // global -> rank
   std::shared_ptr<const std::vector<vid_t>> local_of;  // global -> local id
 
-  // Two-rank compatibility view of owner_rank (set by whole() and the
-  // Device-based split(); null for N-rank splits).
-  std::shared_ptr<const std::vector<Device>> owner;    // global -> device
-
   [[nodiscard]] vid_t num_local_vertices() const noexcept {
     return local.num_vertices();
   }
 
   /// Whole graph on a single device (single-device executions).
-  static LocalGraph whole(const graph::Csr& g, Device device = Device::Cpu);
-
-  /// Split by ownership: owner[v] gives each global vertex's device. The
-  /// paper's two-rank configuration; thin wrapper over split_n.
-  static std::array<LocalGraph, 2> split(const graph::Csr& g,
-                                         std::vector<Device> owner);
+  static LocalGraph whole(const graph::Csr& g);
 
   /// N-rank split: owner_rank[v] in [0, nranks) gives each global vertex's
   /// rank. Every rank gets a partition (possibly empty).
   static std::vector<LocalGraph> split_n(const graph::Csr& g,
                                          std::vector<int> owner_rank,
                                          int nranks);
-
-  /// Edges whose source and destination live on different devices — the
-  /// communication-volume metric of §IV-E.
-  static eid_t count_cross_edges(const graph::Csr& g,
-                                 std::span<const Device> owner);
-
-  /// Same metric over an N-rank assignment.
-  static eid_t count_cross_edges_n(const graph::Csr& g,
-                                   std::span<const int> owner_rank);
 };
 
 }  // namespace phigraph::core

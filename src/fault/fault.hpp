@@ -3,7 +3,7 @@
 //
 // A FaultReport answers "which rank died, in which superstep, in which BSP
 // phase, and why" — it is what a failing rank hands its peer through
-// Exchange::poison() so the survivor wakes immediately with a diagnosis
+// AllToAll::poison() so the survivor wakes immediately with a diagnosis
 // instead of timing out against a dead condition variable.
 //
 // Reports also carry a FaultKind so the recovery ladder in ClusterEngine can

@@ -10,7 +10,7 @@
 //
 // A fault point fires by throwing FaultInjected, which then travels the same
 // road a real failure would: caught by the engine's guarded phase runner,
-// converted into an Exchange poison, and surfaced to the peer as a
+// converted into an AllToAll poison, and surfaced to the peer as a
 // structured FaultReport.
 #pragma once
 

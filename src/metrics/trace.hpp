@@ -19,7 +19,7 @@
 // phase-time accounting: kPipelineDrain (a mover's whole drain loop, running
 // *inside* the generate phase on a team thread — the overlap the paper's
 // pipelining scheme exists to create) and kExchangeWait (the rendezvous wait
-// inside Exchange::exchange_for, the PCIe-latency stand-in).
+// inside AllToAll::exchange_for, the PCIe-latency stand-in).
 #pragma once
 
 #include <algorithm>
@@ -54,7 +54,7 @@ enum class Phase : std::uint8_t {
   kCheckpoint,
   kSuperstep,      // whole-superstep envelope on the orchestrator
   kPipelineDrain,  // one mover's drain loop (inside generate, team thread)
-  kExchangeWait,   // rendezvous wait inside Exchange::exchange_for
+  kExchangeWait,   // rendezvous wait inside AllToAll::exchange_for
   kRecovery,       // CPU-only failover rebuild + rerun
   kPullScan,       // bottom-up pull kernel (inside generate, team threads)
   kServeBatch,     // one QueryEngine batch: formation through fulfillment

@@ -1,7 +1,7 @@
 // Cooperative mutex + condition variable for the model build.
 //
 // sync::Mutex / sync::CondVar resolve to these under PHIGRAPH_MODEL, so the
-// monitor-based rendezvous code (Exchange, AllToAll) runs under the model
+// monitor-based rendezvous code (AllToAll) runs under the model
 // scheduler unchanged: lock/unlock are schedule points carrying the
 // unlock->lock happens-before edge, waits block cooperatively, and *timed*
 // waits time out exactly when model time advances — i.e. when no thread is

@@ -2,36 +2,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <fstream>
 #include <numeric>
+#include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "src/common/expect.hpp"
 #include "src/common/rng.hpp"
 
 namespace phigraph::partition {
-
-std::vector<Device> continuous_partition(const graph::Csr& g, Ratio r) {
-  PG_CHECK(r.cpu >= 0 && r.mic >= 0 && r.cpu + r.mic > 0);
-  const vid_t n = g.num_vertices();
-  const vid_t split = static_cast<vid_t>(
-      static_cast<std::uint64_t>(n) * r.cpu / (r.cpu + r.mic));
-  std::vector<Device> owner(n);
-  for (vid_t v = 0; v < n; ++v)
-    owner[v] = v < split ? Device::Cpu : Device::Mic;
-  return owner;
-}
-
-std::vector<Device> round_robin_partition(const graph::Csr& g, Ratio r) {
-  PG_CHECK(r.cpu >= 0 && r.mic >= 0 && r.cpu + r.mic > 0);
-  const vid_t n = g.num_vertices();
-  const vid_t period = static_cast<vid_t>(r.cpu + r.mic);
-  std::vector<Device> owner(n);
-  for (vid_t v = 0; v < n; ++v)
-    owner[v] = (v % period) < static_cast<vid_t>(r.cpu) ? Device::Cpu
-                                                        : Device::Mic;
-  return owner;
-}
 
 namespace {
 
@@ -354,49 +335,6 @@ BlockedPartition blocked_min_cut(const graph::Csr& g,
   return bp;
 }
 
-std::vector<Device> hybrid_partition(const BlockedPartition& bp, Ratio r) {
-  PG_CHECK(r.cpu >= 0 && r.mic >= 0 && r.cpu + r.mic > 0);
-  // Deal blocks so cumulative edge counts track the requested ratio: assign
-  // block b to whichever device is furthest below its target share.
-  std::vector<Device> block_dev(static_cast<std::size_t>(bp.num_blocks));
-  const double share_cpu = static_cast<double>(r.cpu) / (r.cpu + r.mic);
-  const double share_mic = 1.0 - share_cpu;
-  // Deal heaviest blocks first (LPT): keeps the cumulative ratio tight AND
-  // spreads hub-heavy id regions over both devices, so a traversal frontier
-  // sweeping an id range does not land entirely on one device.
-  std::vector<int> order(static_cast<std::size_t>(bp.num_blocks));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b2) {
-    return bp.block_edges[a] > bp.block_edges[b2];
-  });
-  double edges_cpu = 0, edges_mic = 0;
-  for (int b : order) {
-    const double w = static_cast<double>(bp.block_edges[b]) + 1e-9;
-    // Weighted-load greedy: give the block to the device whose normalized
-    // load (assigned edges / target share) is currently lower.
-    const double load_cpu =
-        share_cpu == 0 ? 1e300 : (edges_cpu + w) / share_cpu;
-    const double load_mic =
-        share_mic == 0 ? 1e300 : (edges_mic + w) / share_mic;
-    if (load_cpu <= load_mic) {
-      block_dev[b] = Device::Cpu;
-      edges_cpu += w;
-    } else {
-      block_dev[b] = Device::Mic;
-      edges_mic += w;
-    }
-  }
-  std::vector<Device> owner(bp.block_of.size());
-  for (std::size_t v = 0; v < owner.size(); ++v)
-    owner[v] = block_dev[bp.block_of[v]];
-  return owner;
-}
-
-std::vector<Device> hybrid_partition(const graph::Csr& g, Ratio r,
-                                     const BlockedOptions& opt) {
-  return hybrid_partition(blocked_min_cut(g, opt), r);
-}
-
 namespace {
 
 int check_weights(const RankWeights& w) {
@@ -435,8 +373,7 @@ std::vector<int> round_robin_partition_k(const graph::Csr& g,
   const int wsum = check_weights(w);
   const vid_t n = g.num_vertices();
   // Position p in the period of length sum(w) belongs to the rank whose
-  // weight segment covers p — the two-entry case is exactly
-  // round_robin_partition.
+  // weight segment covers p.
   std::vector<int> slot(static_cast<std::size_t>(wsum));
   {
     std::size_t p = 0;
@@ -455,8 +392,9 @@ std::vector<int> hybrid_partition_k(const BlockedPartition& bp,
   const std::size_t k = w.size();
   std::vector<int> block_rank(static_cast<std::size_t>(bp.num_blocks), 0);
   // Deal heaviest blocks first (LPT) to the rank whose normalized load
-  // (assigned edges / weight share) is lowest — the k-way generalization of
-  // the two-device weighted-load greedy above.
+  // (assigned edges / weight share) is lowest: keeps the cumulative shares
+  // tight AND spreads hub-heavy id regions over the ranks, so a traversal
+  // frontier sweeping an id range does not land entirely on one rank.
   std::vector<int> order(static_cast<std::size_t>(bp.num_blocks));
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](int a, int b2) {
@@ -589,40 +527,54 @@ KwayStats evaluate_partition_k(const graph::Csr& g,
   return s;
 }
 
-PartitionStats evaluate_partition(const graph::Csr& g,
-                                  std::span<const Device> owner) {
-  PG_CHECK(owner.size() == g.num_vertices());
-  PartitionStats s;
-  for (vid_t u = 0; u < g.num_vertices(); ++u) {
-    const int d = device_index(owner[u]);
-    ++s.verts[d];
-    s.edges[d] += g.out_degree(u);
-    for (vid_t v : g.out_neighbors(u))
-      if (owner[u] != owner[v]) ++s.cross_edges;
-  }
-  return s;
-}
-
-void save_partition(std::span<const Device> owner, const std::string& path) {
+void save_partition(std::span<const int> owner_rank, const std::string& path) {
   std::ofstream out(path);
-  PG_CHECK_MSG(out.good(), "failed to open partition file for writing");
-  out << owner.size() << '\n';
-  for (Device d : owner) out << device_index(d) << '\n';
-  PG_CHECK_MSG(out.good(), "write failure while saving partition file");
+  PG_CHECK_FMT(out.good(), "%s: failed to open partition file for writing",
+               path.c_str());
+  out << owner_rank.size() << '\n';
+  for (const int r : owner_rank) out << r << '\n';
+  PG_CHECK_FMT(out.good(), "%s: write failure while saving partition file",
+               path.c_str());
 }
 
-std::vector<Device> load_partition(const std::string& path) {
+std::vector<int> load_partition(const std::string& path, vid_t num_vertices,
+                                int nranks) {
   std::ifstream in(path);
-  PG_CHECK_MSG(in.good(), "failed to open partition file");
-  std::size_t n = 0;
-  in >> n;
-  std::vector<Device> owner(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    int d = 0;
-    in >> d;
-    PG_CHECK_MSG(!in.fail() && (d == 0 || d == 1), "bad partition file entry");
-    owner[v] = static_cast<Device>(d);
+  PG_CHECK_FMT(in.good(), "%s: failed to open partition file", path.c_str());
+  // Every token must parse in full, so a typo cannot load as rank 0.
+  bool have_header = false;
+  std::vector<int> owner;
+  std::size_t line_no = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++line_no;
+    std::istringstream ls(line);
+    for (std::string tok; ls >> tok;) {
+      long long v = 0;
+      const char* end = tok.data() + tok.size();
+      const auto [p, ec] = std::from_chars(tok.data(), end, v);
+      PG_CHECK_FMT(ec == std::errc() && p == end,
+                   "%s:%zu: non-numeric %s token '%s'", path.c_str(), line_no,
+                   have_header ? "rank" : "vertex-count", tok.c_str());
+      if (!have_header) {
+        PG_CHECK_FMT(v == static_cast<long long>(num_vertices),
+                     "%s:%zu: partition covers %lld vertices, the graph has %u",
+                     path.c_str(), line_no, v, num_vertices);
+        have_header = true;
+        owner.reserve(num_vertices);
+        continue;
+      }
+      PG_CHECK_FMT(owner.size() < num_vertices,
+                   "%s:%zu: trailing token '%s' after %u entries",
+                   path.c_str(), line_no, tok.c_str(), num_vertices);
+      PG_CHECK_FMT(v >= 0 && v < nranks, "%s:%zu: rank %lld outside [0, %d)",
+                   path.c_str(), line_no, v, nranks);
+      owner.push_back(static_cast<int>(v));
+    }
   }
+  PG_CHECK_FMT(have_header, "%s: missing vertex-count header", path.c_str());
+  PG_CHECK_FMT(owner.size() == num_vertices,
+               "%s: truncated after line %zu: %zu of %u entries",
+               path.c_str(), line_no, owner.size(), num_vertices);
   return owner;
 }
 

@@ -1,17 +1,18 @@
-// Graph partitioning between CPU and MIC (paper §IV-E).
+// Graph partitioning over ranks (paper §IV-E, generalized to N ranks).
 //
-// Three vertex→device schemes, compared in Fig. 6:
-//   * continuous  — first a/(a+b) of the vertices go to the CPU. Cheap, but
-//     power-law graphs concentrate hubs at the front, so edge workload is
-//     imbalanced.
+// Three vertex→rank schemes, compared in Fig. 6 (the paper's CPU+MIC run is
+// the two-rank case, weights {cpu, mic}, CPU = rank 0):
+//   * continuous  — rank r takes the next w[r]/sum(w) of the vertex ids.
+//     Cheap, but power-law graphs concentrate hubs at the front, so edge
+//     workload is imbalanced.
 //   * round-robin — interleave vertices; balanced, but maximizes cross
 //     edges (communication).
 //   * hybrid      — partition the graph into many min-cut blocks (the paper
 //     uses Metis' min-connectivity-volume mode with 256 partitions; we ship
-//     our own multilevel partitioner) and deal the *blocks* to devices so
-//     the cumulative edge counts track the requested ratio. Low cut AND
+//     our own multilevel partitioner) and deal the *blocks* to ranks so the
+//     cumulative edge counts track the requested weights. Low cut AND
 //     balanced. The blocked partition is computed once per graph and reused
-//     for any ratio — the property the paper highlights over GPS.
+//     for any weights — the property the paper highlights over GPS.
 #pragma once
 
 #include <algorithm>
@@ -24,20 +25,6 @@
 #include "src/graph/csr.hpp"
 
 namespace phigraph::partition {
-
-/// Workload ratio CPU : MIC ("relative amounts of computation assigned to
-/// devices" — user-specified, e.g. 3:5 for PageRank in the paper).
-struct Ratio {
-  int cpu = 1;
-  int mic = 1;
-};
-
-// ---- vertex -> device schemes ------------------------------------------------
-
-[[nodiscard]] std::vector<Device> continuous_partition(const graph::Csr& g,
-                                                       Ratio r);
-[[nodiscard]] std::vector<Device> round_robin_partition(const graph::Csr& g,
-                                                        Ratio r);
 
 // ---- blocked min-cut partitioning (the Metis substitute) ---------------------
 
@@ -62,21 +49,12 @@ struct BlockedOptions {
 [[nodiscard]] BlockedPartition blocked_min_cut(const graph::Csr& g,
                                                const BlockedOptions& opt = {});
 
-/// Hybrid scheme: deal blocks to devices, greedily keeping the cumulative
-/// edge counts proportional to the ratio.
-[[nodiscard]] std::vector<Device> hybrid_partition(const BlockedPartition& bp,
-                                                   Ratio r);
-
-/// Convenience: blocked_min_cut + hybrid assignment in one call.
-[[nodiscard]] std::vector<Device> hybrid_partition(const graph::Csr& g, Ratio r,
-                                                   const BlockedOptions& opt = {});
-
-// ---- k-way (N-rank) schemes ---------------------------------------------------
+// ---- vertex -> rank schemes ------------------------------------------------
 //
-// Rank-count-generalized forms of the schemes above: weights[r] is rank r's
-// relative workload share (the two-entry case {cpu, mic} reproduces the
-// Ratio-based schemes exactly, rank 0 = CPU). They return vertex -> rank
-// assignments for ClusterEngine / LocalGraph::split_n.
+// weights[r] is rank r's relative workload share ("relative amounts of
+// computation assigned to devices" — user-specified, e.g. {3, 5} for
+// PageRank in the paper). They return vertex -> rank assignments for
+// ClusterEngine / LocalGraph::split_n.
 
 using RankWeights = std::vector<int>;
 
@@ -146,30 +124,17 @@ struct KwayStats {
     const graph::Csr& g, std::span<const int> owner_rank, int nranks, int dead,
     const RankWeights& w);
 
-// ---- evaluation ---------------------------------------------------------------
-
-struct PartitionStats {
-  vid_t verts[kNumDevices] = {0, 0};
-  eid_t edges[kNumDevices] = {0, 0};  // cumulative out-degree per device
-  eid_t cross_edges = 0;              // the paper's communication-volume metric
-
-  /// Signed relative error of the CPU's achieved edge share vs. requested:
-  /// 0 = perfect, +x = CPU overloaded by x of its target.
-  [[nodiscard]] double balance_error(Ratio r) const noexcept {
-    const double want = static_cast<double>(r.cpu) / (r.cpu + r.mic);
-    const double total = static_cast<double>(edges[0] + edges[1]);
-    if (total == 0 || want == 0) return 0;
-    const double got = static_cast<double>(edges[0]) / total;
-    return (got - want) / want;
-  }
-};
-
-[[nodiscard]] PartitionStats evaluate_partition(const graph::Csr& g,
-                                                std::span<const Device> owner);
-
 // ---- partition file IO (the paper's "graph partitioning file") ----------------
+//
+// Text format: the vertex count on the first line, then one rank per vertex.
 
-void save_partition(std::span<const Device> owner, const std::string& path);
-[[nodiscard]] std::vector<Device> load_partition(const std::string& path);
+void save_partition(std::span<const int> owner_rank, const std::string& path);
+
+/// Strict loader: aborts with a `file:line` diagnostic on a missing or
+/// non-numeric header, a vertex count other than `num_vertices`, a
+/// non-numeric entry or one outside [0, nranks), a truncated file, or
+/// tokens after the last entry.
+[[nodiscard]] std::vector<int> load_partition(const std::string& path,
+                                              vid_t num_vertices, int nranks);
 
 }  // namespace phigraph::partition

@@ -263,18 +263,6 @@ HeteroEstimate model_cluster(const std::vector<RankModelInput>& ranks,
   return est;
 }
 
-HeteroEstimate model_hetero(const metrics::RunTrace& cpu_trace,
-                            const DeviceSpec& cpu_dev,
-                            const ExecProfile& cpu_prof,
-                            const metrics::RunTrace& mic_trace,
-                            const DeviceSpec& mic_dev,
-                            const ExecProfile& mic_prof,
-                            const LinkSpec& link) {
-  return model_cluster({{&cpu_trace, cpu_dev, cpu_prof},
-                        {&mic_trace, mic_dev, mic_prof}},
-                       link);
-}
-
 double model_sequential(const metrics::RunTrace& trace, const DeviceSpec& dev,
                         const ExecProfile& prof) {
   // Clean sequential code: no locks, no buffers, no scheduler — per-vertex

@@ -96,20 +96,10 @@ struct RankModelInput {
 };
 
 /// Model an N-rank run: all ranks proceed in BSP lockstep, so each superstep
-/// costs the slowest rank's execution time plus the slowest exchange.
-/// model_hetero is the two-entry case.
+/// costs the slowest rank's execution time plus the slowest exchange. The
+/// paper's CPU+MIC run is the two-rank case.
 [[nodiscard]] HeteroEstimate model_cluster(
     const std::vector<RankModelInput>& ranks, const LinkSpec& link);
-
-/// Model a heterogeneous run: devices proceed in BSP lockstep, so each
-/// superstep costs the slower device's execution time plus the exchange.
-[[nodiscard]] HeteroEstimate model_hetero(const metrics::RunTrace& cpu_trace,
-                                          const DeviceSpec& cpu_dev,
-                                          const ExecProfile& cpu_prof,
-                                          const metrics::RunTrace& mic_trace,
-                                          const DeviceSpec& mic_dev,
-                                          const ExecProfile& mic_prof,
-                                          const LinkSpec& link);
 
 /// Model the same workload executed by clean sequential code (one thread,
 /// no framework machinery) — Table II's "CPU Seq" / "MIC Seq" baselines.
@@ -136,6 +126,7 @@ struct DirectionMix {
 /// forced-pull and auto runs are bit-identical).
 [[nodiscard]] DirectionMix predict_direction_mix(
     const metrics::RunTrace& push_trace, vid_t num_vertices,
-    std::uint64_t num_edges, double alpha = 14.0, double beta = 24.0);
+    std::uint64_t num_edges, double alpha = core::DirectionPolicy{}.alpha,
+    double beta = core::DirectionPolicy{}.beta);
 
 }  // namespace phigraph::sim

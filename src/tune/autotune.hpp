@@ -113,51 +113,54 @@ struct DirectionChoice {
 }
 
 struct RatioChoice {
-  partition::Ratio ratio;
+  partition::RankWeights weights;
   double modeled_seconds = 0;  // execution + communication
 };
 
-/// Configuration of one device for ratio tuning.
+/// Configuration of one rank (device) for ratio tuning.
 struct TuneDevice {
   core::EngineConfig engine;
   sim::ExecProfile profile;
   sim::DeviceSpec spec;
 };
 
-/// Picks the CPU:MIC workload ratio: partitions the blocked decomposition at
-/// each candidate ratio, runs the heterogeneous engine once per candidate
-/// (probe runs on the host), and keeps the ratio whose modeled lockstep
-/// time is lowest. The blocked partition is computed once and reused.
+/// Picks the workload ratio between ranks (CPU:MIC in the paper):
+/// partitions the blocked decomposition at each candidate weight vector,
+/// runs the cluster engine once per candidate (probe runs on the host), and
+/// keeps the weights whose modeled lockstep time is lowest. The blocked
+/// partition is computed once and reused. Every candidate holds one weight
+/// per entry of `ranks`.
 template <core::VertexProgram Program>
 [[nodiscard]] RatioChoice tune_partition_ratio(
     const graph::Csr& g, const Program& prog,
     const partition::BlockedPartition& bp,
-    std::span<const partition::Ratio> candidates, TuneDevice cpu,
-    TuneDevice mic, const sim::LinkSpec& link = {}) {
+    std::span<const partition::RankWeights> candidates,
+    std::vector<TuneDevice> ranks, const sim::LinkSpec& link = {}) {
   PG_CHECK(!candidates.empty());
-  cpu.profile.msg_bytes = mic.profile.msg_bytes =
-      sizeof(typename Program::message_t);
-  cpu.profile.value_bytes = mic.profile.value_bytes =
-      sizeof(typename Program::vertex_value_t);
+  std::vector<core::EngineConfig> cfgs;
+  for (TuneDevice& d : ranks) {
+    d.profile.msg_bytes = sizeof(typename Program::message_t);
+    d.profile.value_bytes = sizeof(typename Program::vertex_value_t);
+    cfgs.push_back(d.engine);
+  }
 
   RatioChoice best;
   best.modeled_seconds = std::numeric_limits<double>::max();
-  for (const auto ratio : candidates) {
-    auto owner = partition::hybrid_partition(bp, ratio);
-    vid_t cpu_n = 0;
-    for (Device d : owner)
-      if (d == Device::Cpu) ++cpu_n;
-    cpu.profile.num_vertices = std::max<vid_t>(1, cpu_n);
-    mic.profile.num_vertices = std::max<vid_t>(1, g.num_vertices() - cpu_n);
+  for (const auto& w : candidates) {
+    PG_CHECK(w.size() == ranks.size());
+    auto owner = partition::hybrid_partition_k(bp, w);
+    std::vector<vid_t> verts(ranks.size(), 0);
+    for (const int r : owner) ++verts[static_cast<std::size_t>(r)];
 
-    core::HeteroEngine<Program> engine(g, std::move(owner), prog, cpu.engine,
-                                       mic.engine);
-    auto res = engine.run();
-    const auto est =
-        sim::model_hetero(res.cpu.trace, cpu.spec, cpu.profile, res.mic.trace,
-                          mic.spec, mic.profile, link);
-    if (est.total() < best.modeled_seconds)
-      best = {ratio, est.total()};
+    core::ClusterEngine<Program> engine(g, std::move(owner), prog, cfgs);
+    const auto res = engine.run();
+    std::vector<sim::RankModelInput> in;
+    for (std::size_t r = 0; r < ranks.size(); ++r) {
+      in.push_back({&res.ranks[r].trace, ranks[r].spec, ranks[r].profile});
+      in.back().prof.num_vertices = std::max<vid_t>(1, verts[r]);
+    }
+    const auto est = sim::model_cluster(in, link);
+    if (est.total() < best.modeled_seconds) best = {w, est.total()};
   }
   return best;
 }

@@ -1,6 +1,7 @@
-// Inter-device communication tests: pairwise exchange (including the
-// deadline/poison fault-tolerance protocol) and the combining remote
-// message buffer.
+// Inter-rank communication tests: the rendezvous exchange as the paper's
+// two-rank CPU+MIC pair (including the deadline/poison fault-tolerance
+// protocol), N-rank timeout attribution, and the combining remote message
+// buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,49 +21,69 @@
 namespace {
 
 using namespace phigraph;
+using comm::ExchangeStatus;
+using std::chrono::milliseconds;
+
+/// One round of a two-rank AllToAll from `rank`'s side: sends `v` to the
+/// peer; on success the peer's value is in values[1 - rank].
+template <typename T>
+typename comm::AllToAll<T>::Result swap_with_peer(
+    comm::AllToAll<T>& x, int rank, T v,
+    milliseconds deadline = milliseconds(60000)) {
+  std::vector<T> out(2);
+  out[static_cast<std::size_t>(1 - rank)] = std::move(v);
+  return x.exchange_for(rank, std::move(out), deadline);
+}
 
 TEST(Exchange, SwapsValuesBothWays) {
-  comm::Exchange<int> ex;
-  int got0 = 0, got1 = 0;
-  std::thread t1([&] { got1 = ex.exchange(1, 111); });
-  got0 = ex.exchange(0, 222);
+  comm::AllToAll<int> ex(2);
+  comm::AllToAll<int>::Result r0, r1;
+  std::thread t1([&] { r1 = swap_with_peer(ex, 1, 111); });
+  r0 = swap_with_peer(ex, 0, 222);
   t1.join();
-  EXPECT_EQ(got0, 111);
-  EXPECT_EQ(got1, 222);
+  ASSERT_EQ(r0.status, ExchangeStatus::kOk);
+  ASSERT_EQ(r1.status, ExchangeStatus::kOk);
+  EXPECT_EQ(r0.values[1], 111);
+  EXPECT_EQ(r1.values[0], 222);
 }
 
 TEST(Exchange, ManyRoundsStayPaired) {
-  comm::Exchange<int> ex;
+  comm::AllToAll<int> ex(2);
   constexpr int kRounds = 2000;
   std::thread t1([&] {
-    for (int r = 0; r < kRounds; ++r)
-      ASSERT_EQ(ex.exchange(1, r * 2 + 1), r * 2);  // receives rank 0's value
+    for (int r = 0; r < kRounds; ++r) {
+      const auto res = swap_with_peer(ex, 1, r * 2 + 1);
+      ASSERT_EQ(res.status, ExchangeStatus::kOk);
+      ASSERT_EQ(res.values[0], r * 2);  // receives rank 0's value
+    }
   });
-  for (int r = 0; r < kRounds; ++r)
-    ASSERT_EQ(ex.exchange(0, r * 2), r * 2 + 1);  // receives rank 1's value
+  for (int r = 0; r < kRounds; ++r) {
+    const auto res = swap_with_peer(ex, 0, r * 2);
+    ASSERT_EQ(res.status, ExchangeStatus::kOk);
+    ASSERT_EQ(res.values[1], r * 2 + 1);  // receives rank 1's value
+  }
   t1.join();
 }
 
 TEST(Exchange, MovesLargePayloadsWithoutLoss) {
-  comm::Exchange<std::vector<int>> ex;
+  comm::AllToAll<std::vector<int>> ex(2);
   std::vector<int> a(10000);
   std::vector<int> b(5000);
   std::iota(a.begin(), a.end(), 0);
   std::iota(b.begin(), b.end(), 100000);
-  std::vector<int> got0, got1;
-  std::thread t1([&] { got1 = ex.exchange(1, std::move(b)); });
-  got0 = ex.exchange(0, std::move(a));
+  comm::AllToAll<std::vector<int>>::Result r0, r1;
+  std::thread t1([&] { r1 = swap_with_peer(ex, 1, std::move(b)); });
+  r0 = swap_with_peer(ex, 0, std::move(a));
   t1.join();
-  EXPECT_EQ(got0.size(), 5000u);
-  EXPECT_EQ(got0.front(), 100000);
-  EXPECT_EQ(got1.size(), 10000u);
-  EXPECT_EQ(got1.back(), 9999);
+  ASSERT_EQ(r0.status, ExchangeStatus::kOk);
+  ASSERT_EQ(r1.status, ExchangeStatus::kOk);
+  EXPECT_EQ(r0.values[1].size(), 5000u);
+  EXPECT_EQ(r0.values[1].front(), 100000);
+  EXPECT_EQ(r1.values[0].size(), 10000u);
+  EXPECT_EQ(r1.values[0].back(), 9999);
 }
 
 // ---- deadline + poison protocol ---------------------------------------------
-
-using comm::ExchangeStatus;
-using std::chrono::milliseconds;
 
 fault::FaultReport test_report(int rank) {
   fault::FaultReport r;
@@ -74,10 +95,10 @@ fault::FaultReport test_report(int rank) {
 }
 
 TEST(ExchangeFault, PoisonBeforeDepositFailsImmediately) {
-  comm::Exchange<int> ex;
+  comm::AllToAll<int> ex(2);
   ex.poison(1, test_report(1));
   // A long deadline must not matter: the poison check precedes the deposit.
-  const auto r = ex.exchange_for(0, 7, milliseconds(60000));
+  const auto r = swap_with_peer(ex, 0, 7);
   EXPECT_EQ(r.status, ExchangeStatus::kPeerFailed);
   EXPECT_EQ(r.fault.rank, 1);
   EXPECT_EQ(r.fault.superstep, 3);
@@ -85,45 +106,45 @@ TEST(ExchangeFault, PoisonBeforeDepositFailsImmediately) {
 }
 
 TEST(ExchangeFault, PoisonWakesARankWaitingForItsPeer) {
-  comm::Exchange<int> ex;
+  comm::AllToAll<int> ex(2);
   std::thread failer([&] {
     std::this_thread::sleep_for(milliseconds(50));
     ex.poison(1, test_report(1));
   });
   // Deposits, then blocks waiting for rank 1 — which dies instead of
   // arriving. The waiter must wake on the poison, well before the deadline.
-  const auto r = ex.exchange_for(0, 7, milliseconds(60000));
+  const auto r = swap_with_peer(ex, 0, 7);
   failer.join();
   EXPECT_EQ(r.status, ExchangeStatus::kPeerFailed);
   EXPECT_EQ(r.fault.rank, 1);
 }
 
 TEST(ExchangeFault, PoisonAfterConsumedRoundNeverReArms) {
-  comm::Exchange<int> ex;
+  comm::AllToAll<int> ex(2);
   // One healthy round completes...
   std::thread peer([&] {
-    const auto r = ex.exchange_for(1, 11, milliseconds(60000));
+    const auto r = swap_with_peer(ex, 1, 11);
     ASSERT_EQ(r.status, ExchangeStatus::kOk);
-    EXPECT_EQ(r.value, 22);
+    EXPECT_EQ(r.values[0], 22);
   });
-  const auto r0 = ex.exchange_for(0, 22, milliseconds(60000));
+  const auto r0 = swap_with_peer(ex, 0, 22);
   peer.join();
   ASSERT_EQ(r0.status, ExchangeStatus::kOk);
-  EXPECT_EQ(r0.value, 11);
+  EXPECT_EQ(r0.values[1], 11);
   // ...then rank 0 dies. Every later call, from either rank, fails fast —
   // retries cannot resurrect the channel.
   ex.poison(0, test_report(0));
   for (int round = 0; round < 3; ++round) {
-    const auto r1 = ex.exchange_for(1, 33, milliseconds(60000));
+    const auto r1 = swap_with_peer(ex, 1, 33);
     EXPECT_EQ(r1.status, ExchangeStatus::kPeerFailed);
     EXPECT_EQ(r1.fault.rank, 0);
-    const auto r2 = ex.exchange_for(0, 44, milliseconds(60000));
+    const auto r2 = swap_with_peer(ex, 0, 44);
     EXPECT_EQ(r2.status, ExchangeStatus::kPeerFailed);
   }
 }
 
 TEST(ExchangeFault, FirstPoisonReportWins) {
-  comm::Exchange<int> ex;
+  comm::AllToAll<int> ex(2);
   ex.poison(0, test_report(0));
   ex.poison(1, test_report(1));
   EXPECT_TRUE(ex.poisoned());
@@ -131,28 +152,22 @@ TEST(ExchangeFault, FirstPoisonReportWins) {
 }
 
 TEST(ExchangeFault, TimeoutRetractsTheDepositAndTheChannelStaysUsable) {
-  comm::Exchange<int> ex;
+  comm::AllToAll<int> ex(2);
   // Nobody shows up: rank 0 times out and its deposit is retracted.
-  const auto r = ex.exchange_for(0, 5, milliseconds(20));
+  const auto r = swap_with_peer(ex, 0, 5, milliseconds(20));
   EXPECT_EQ(r.status, ExchangeStatus::kTimeout);
+  EXPECT_EQ(r.fault.rank, 1);  // the absent peer is named
   EXPECT_FALSE(ex.poisoned());
   // A later healthy round pairs the fresh values, not the stale deposit.
   std::thread peer([&] {
-    const auto rr = ex.exchange_for(1, 2, milliseconds(60000));
+    const auto rr = swap_with_peer(ex, 1, 2);
     ASSERT_EQ(rr.status, ExchangeStatus::kOk);
-    EXPECT_EQ(rr.value, 1);
+    EXPECT_EQ(rr.values[0], 1);
   });
-  const auto rr = ex.exchange_for(0, 1, milliseconds(60000));
+  const auto rr = swap_with_peer(ex, 0, 1);
   peer.join();
   ASSERT_EQ(rr.status, ExchangeStatus::kOk);
-  EXPECT_EQ(rr.value, 2);
-}
-
-TEST(ExchangeFault, LegacyBlockingExchangeDiesOnAPoisonedChannel) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  comm::Exchange<int> ex;
-  ex.poison(1, test_report(1));
-  EXPECT_DEATH(ex.exchange(0, 1), "dead channel");
+  EXPECT_EQ(rr.values[1], 2);
 }
 
 TEST(RemoteBuffer, CombinesPerDestination) {

@@ -11,7 +11,6 @@
 #include "src/common/expect.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/timer.hpp"
-#include "src/common/types.hpp"
 #include "src/metrics/counters.hpp"
 #include "src/simd/simd.hpp"
 
@@ -82,14 +81,6 @@ TEST(Expect, CheckAbortsWithMessage) {
   EXPECT_DEATH(PG_CHECK_MSG(1 == 2, "the message"), "the message");
   EXPECT_DEATH(PG_CHECK(false), "check failed");
   PG_CHECK(true);  // no-op
-}
-
-TEST(Types, DeviceHelpers) {
-  EXPECT_EQ(other_device(Device::Cpu), Device::Mic);
-  EXPECT_EQ(other_device(Device::Mic), Device::Cpu);
-  EXPECT_STREQ(device_name(Device::Cpu), "CPU");
-  EXPECT_STREQ(device_name(Device::Mic), "MIC");
-  EXPECT_EQ(device_index(Device::Mic), 1);
 }
 
 TEST(Timer, StopWatchAccumulates) {

@@ -203,15 +203,6 @@ EngineConfig cell_cfg(const Cell& c, int simd_bytes, std::uint64_t salt) {
   return e;
 }
 
-std::vector<Device> round_robin_owner(vid_t n, int a, int b) {
-  std::vector<Device> owner(n);
-  for (vid_t v = 0; v < n; ++v)
-    owner[v] = (static_cast<int>(v % static_cast<vid_t>(a + b)) < a)
-                   ? Device::Cpu
-                   : Device::Mic;
-  return owner;
-}
-
 // Runs `prog` under one matrix cell and compares every vertex value
 // bit-for-bit against the sequential reference.
 template <typename Program>
@@ -221,10 +212,11 @@ void check_cell(const graph::Csr& g, const Program& prog, const Cell& c,
   if (c.hetero) {
     const int a = 1 + static_cast<int>(salt % 3);
     const int b = 1 + static_cast<int>((salt >> 1) % 3);
-    core::HeteroEngine<Program> he(g, round_robin_owner(g.num_vertices(), a, b),
-                                   prog, cell_cfg(c, simd::kCpuSimdBytes, salt),
-                                   cell_cfg(c, simd::kMicSimdBytes, salt + 1));
-    const auto res = he.run();
+    core::ClusterEngine<Program> ce(
+        g, partition::round_robin_partition_k(g, {a, b}), prog,
+        {cell_cfg(c, simd::kCpuSimdBytes, salt),
+         cell_cfg(c, simd::kMicSimdBytes, salt + 1)});
+    const auto res = ce.run();
     ASSERT_EQ(res.global_values.size(), ref.size()) << what;
     for (vid_t v = 0; v < g.num_vertices(); ++v)
       ASSERT_EQ(res.global_values[v], ref[v]) << what << " vertex " << v;
@@ -662,12 +654,12 @@ TEST(DifferentialConservation, HeteroExchangeCountersMatchAcrossRanks) {
   phigraph::testing::Watchdog wd(std::chrono::seconds(120));
   const auto g = make_graph(Family::kUniform, 0xfeed);
   Cell c{ExecMode::kPipelining, ColumnMode::kDynamic, 0.0, true};
-  core::HeteroEngine<apps::Bfs> he(g, round_robin_owner(g.num_vertices(), 2, 3),
-                                   apps::Bfs(0), cell_cfg(c, 16, 3),
-                                   cell_cfg(c, 64, 4));
-  const auto res = he.run();
-  const auto cpu = totals_of(res.cpu.trace);
-  const auto mic = totals_of(res.mic.trace);
+  core::ClusterEngine<apps::Bfs> ce(
+      g, partition::round_robin_partition_k(g, {2, 3}), apps::Bfs(0),
+      {cell_cfg(c, 16, 3), cell_cfg(c, 64, 4)});
+  const auto res = ce.run();
+  const auto cpu = totals_of(res.ranks[0].trace);
+  const auto mic = totals_of(res.ranks[1].trace);
   // Conservation across the exchange: what one rank ships, the other drains.
   EXPECT_EQ(cpu.bytes_sent, mic.bytes_received);
   EXPECT_EQ(mic.bytes_sent, cpu.bytes_received);

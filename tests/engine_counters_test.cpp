@@ -168,13 +168,12 @@ TEST(EngineCounters, HeteroSplitsMessagesByOwnership) {
   const auto solo = core::run_single(g, prog, solo_cfg);
   const auto solo_msgs = metrics::totals(solo.run.trace).msgs_local;
 
-  auto owner = partition::round_robin_partition(g, {1, 1});
-  core::HeteroEngine<apps::Sssp> he(g, std::move(owner), prog,
-                                    cfg(ExecMode::kLocking, 16),
-                                    cfg(ExecMode::kLocking, 64));
-  auto res = he.run();
-  const auto tc = metrics::totals(res.cpu.trace);
-  const auto tm = metrics::totals(res.mic.trace);
+  core::ClusterEngine<apps::Sssp> ce(
+      g, partition::round_robin_partition_k(g, {1, 1}), prog,
+      {cfg(ExecMode::kLocking, 16), cfg(ExecMode::kLocking, 64)});
+  auto res = ce.run();
+  const auto tc = metrics::totals(res.ranks[0].trace);
+  const auto tm = metrics::totals(res.ranks[1].trace);
 
   // Local + remote generation covers every edge-message exactly once.
   EXPECT_EQ(tc.msgs_local + tc.msgs_remote + tm.msgs_local + tm.msgs_remote,

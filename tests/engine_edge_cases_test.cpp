@@ -144,10 +144,9 @@ TEST(EngineEdge, ManyMoversFewWorkers) {
 
 TEST(EngineEdge, HeteroWithAllVerticesOnOneDevice) {
   const auto g = gen::pokec_like(500, 5000, 13);
-  std::vector<Device> owner(g.num_vertices(), Device::Cpu);
-  core::HeteroEngine<apps::Bfs> he(g, owner, apps::Bfs{0},
-                                   small_cfg(), small_cfg());
-  auto res = he.run();
+  core::ClusterEngine<apps::Bfs> ce(g, std::vector<int>(g.num_vertices(), 0),
+                                    apps::Bfs{0}, {small_cfg(), small_cfg()});
+  auto res = ce.run();
   const auto classic = apps::classic_bfs(g, 0);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(res.global_values[v], classic[v]);

@@ -16,6 +16,7 @@
 #include "src/core/hetero_engine.hpp"
 #include "src/gen/generators.hpp"
 #include "src/graph/paper_example.hpp"
+#include "src/partition/partition.hpp"
 
 namespace {
 
@@ -139,17 +140,8 @@ INSTANTIATE_TEST_SUITE_P(
     mode_name);
 
 // ---------------------------------------------------------------------------
-// Heterogeneous CPU+MIC runs.
+// Heterogeneous CPU+MIC runs: a two-rank cluster, CPU = rank 0.
 // ---------------------------------------------------------------------------
-
-std::vector<Device> round_robin_owner(vid_t n, int a, int b) {
-  std::vector<Device> owner(n);
-  for (vid_t v = 0; v < n; ++v)
-    owner[v] = (static_cast<int>(v % static_cast<vid_t>(a + b)) < a)
-                   ? Device::Cpu
-                   : Device::Mic;
-  return owner;
-}
 
 EngineConfig cpu_cfg() {
   EngineConfig c;
@@ -169,66 +161,72 @@ EngineConfig mic_cfg() {
   return c;
 }
 
-TEST(HeteroEngine, SsspMatchesReference) {
+TEST(HeteroCluster, SsspMatchesReference) {
   const auto g = test_graph();
   const apps::Sssp prog(0);
-  core::HeteroEngine<apps::Sssp> he(g, round_robin_owner(g.num_vertices(), 1, 1),
-                                    prog, cpu_cfg(), mic_cfg());
-  auto res = he.run();
+  core::ClusterEngine<apps::Sssp> ce(
+      g, partition::round_robin_partition_k(g, {1, 1}), prog,
+      {cpu_cfg(), mic_cfg()});
+  auto res = ce.run();
   const auto ref = apps::reference_run(g, prog);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(res.global_values[v], ref[v]) << "vertex " << v;
 }
 
-TEST(HeteroEngine, PageRankMatchesClassic) {
+TEST(HeteroCluster, PageRankMatchesClassic) {
   const auto g = test_graph();
   const apps::PageRank prog;
   auto cc = cpu_cfg();
   auto mc = mic_cfg();
   cc.max_supersteps = mc.max_supersteps = 10;
-  core::HeteroEngine<apps::PageRank> he(
-      g, round_robin_owner(g.num_vertices(), 3, 5), prog, cc, mc);
-  auto res = he.run();
-  EXPECT_EQ(res.cpu.supersteps, 10);
-  EXPECT_EQ(res.mic.supersteps, 10);
+  core::ClusterEngine<apps::PageRank> ce(
+      g, partition::round_robin_partition_k(g, {3, 5}), prog, {cc, mc});
+  auto res = ce.run();
+  EXPECT_EQ(res.ranks[0].supersteps, 10);
+  EXPECT_EQ(res.ranks[1].supersteps, 10);
   const auto classic = apps::classic_pagerank(g, 10);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_NEAR(res.global_values[v], classic[v], 1e-3f * (1.0f + classic[v]));
 }
 
-TEST(HeteroEngine, BfsMatchesClassicUnderSkewedPartition) {
+TEST(HeteroCluster, BfsMatchesClassicUnderSkewedPartition) {
   const auto g = test_graph();
   const apps::Bfs prog(5);
-  core::HeteroEngine<apps::Bfs> he(g, round_robin_owner(g.num_vertices(), 1, 4),
-                                   prog, cpu_cfg(), mic_cfg());
-  auto res = he.run();
+  core::ClusterEngine<apps::Bfs> ce(
+      g, partition::round_robin_partition_k(g, {1, 4}), prog,
+      {cpu_cfg(), mic_cfg()});
+  auto res = ce.run();
   const auto classic = apps::classic_bfs(g, 5);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(res.global_values[v], classic[v]) << "vertex " << v;
 }
 
-TEST(HeteroEngine, TopoSortMatchesKahn) {
+TEST(HeteroCluster, TopoSortMatchesKahn) {
   const auto g = gen::dag_like(1500, 15000, 9);
   const apps::TopoSort prog;
-  core::HeteroEngine<apps::TopoSort> he(
-      g, round_robin_owner(g.num_vertices(), 1, 1), prog, cpu_cfg(), mic_cfg());
-  auto res = he.run();
+  core::ClusterEngine<apps::TopoSort> ce(
+      g, partition::round_robin_partition_k(g, {1, 1}), prog,
+      {cpu_cfg(), mic_cfg()});
+  auto res = ce.run();
   const auto levels = apps::classic_topo_levels(g);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(res.global_values[v].order, levels[v]);
 }
 
-TEST(HeteroEngine, CommunicationCountersAreConsistent) {
+TEST(HeteroCluster, CommunicationCountersAreConsistent) {
   const auto g = test_graph();
   const apps::Sssp prog(0);
-  core::HeteroEngine<apps::Sssp> he(g, round_robin_owner(g.num_vertices(), 1, 1),
-                                    prog, cpu_cfg(), mic_cfg());
-  auto res = he.run();
+  core::ClusterEngine<apps::Sssp> ce(
+      g, partition::round_robin_partition_k(g, {1, 1}), prog,
+      {cpu_cfg(), mic_cfg()});
+  auto res = ce.run();
   // What one device sends, the other receives, superstep by superstep.
-  ASSERT_EQ(res.cpu.trace.size(), res.mic.trace.size());
-  for (std::size_t s = 0; s < res.cpu.trace.size(); ++s) {
-    EXPECT_EQ(res.cpu.trace[s].bytes_sent, res.mic.trace[s].bytes_received);
-    EXPECT_EQ(res.mic.trace[s].bytes_sent, res.cpu.trace[s].bytes_received);
+  const auto& cpu = res.ranks[0].trace;
+  const auto& mic = res.ranks[1].trace;
+  ASSERT_EQ(cpu.size(), mic.size());
+  for (std::size_t s = 0; s < cpu.size(); ++s) {
+    EXPECT_EQ(cpu[s].bytes_sent, mic[s].bytes_received);
+    EXPECT_EQ(mic[s].bytes_sent, cpu[s].bytes_received);
   }
 }
 

@@ -67,12 +67,12 @@ TEST(ConnectedComponents, MatchesUnionFindOnCommunityGraph) {
 TEST(ConnectedComponents, HeterogeneousMatchesSingleDevice) {
   const auto g = gen::dblp_like(2000, 4000, 16);
   const auto truth = classic_components(g);
-  auto owner = partition::round_robin_partition(g, {1, 1});
-  core::HeteroEngine<apps::ConnectedComponents> he(
-      g, std::move(owner), apps::ConnectedComponents{},
-      cc_cfg(core::ExecMode::kLocking, 16),
-      cc_cfg(core::ExecMode::kPipelining, 64));
-  auto res = he.run();
+  core::ClusterEngine<apps::ConnectedComponents> ce(
+      g, partition::round_robin_partition_k(g, {1, 1}),
+      apps::ConnectedComponents{},
+      {cc_cfg(core::ExecMode::kLocking, 16),
+       cc_cfg(core::ExecMode::kPipelining, 64)});
+  auto res = ce.run();
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(res.global_values[v], truth[v]);
 }
@@ -146,17 +146,17 @@ TEST(AutoTune, RatioSweepPrefersBalanceMatchingDeviceSpeeds) {
   mic.profile.lanes = 16;
 
   const auto bp = partition::blocked_min_cut(g, {.num_blocks = 64, .seed = 2});
-  const std::vector<partition::Ratio> candidates = {
+  const std::vector<partition::RankWeights> candidates = {
       {1, 15}, {1, 3}, {1, 1}, {3, 1}, {15, 1}};
   const auto choice =
-      tune::tune_partition_ratio(g, prog, bp, candidates, cpu, mic);
+      tune::tune_partition_ratio(g, prog, bp, candidates, {cpu, mic});
 
   // Both devices are within ~2x of each other for PageRank, so the extreme
   // one-sided splits must not win.
-  const bool extreme =
-      (choice.ratio.cpu == 1 && choice.ratio.mic == 15) ||
-      (choice.ratio.cpu == 15 && choice.ratio.mic == 1);
-  EXPECT_FALSE(extreme) << choice.ratio.cpu << ":" << choice.ratio.mic;
+  ASSERT_EQ(choice.weights.size(), 2u);
+  const bool extreme = choice.weights == partition::RankWeights{1, 15} ||
+                       choice.weights == partition::RankWeights{15, 1};
+  EXPECT_FALSE(extreme) << choice.weights[0] << ":" << choice.weights[1];
   EXPECT_GT(choice.modeled_seconds, 0.0);
 }
 

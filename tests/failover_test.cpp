@@ -2,9 +2,9 @@
 // that throws mid-run stands in for a device failure. These pin down the
 // contracts the fault-injection matrix relies on:
 //
-//  * HeteroEngine::run() survives an exception on either device thread — the
-//    scope-guard joiner means no std::terminate with a joinable thread — and
-//    finishes CPU-only instead of crashing;
+//  * a two-rank (CPU+MIC) ClusterEngine::run() survives an exception on
+//    either rank's thread — the scope-guard joiner means no std::terminate
+//    with a joinable thread — and finishes CPU-only instead of crashing;
 //  * checkpointed recovery is exact: BFS levels after a mid-run MIC failure
 //    are bit-identical to a fault-free single-device run (min-combine is
 //    reduction-order independent);
@@ -29,6 +29,7 @@
 #include "src/fault/fault.hpp"
 #include "src/gen/generators.hpp"
 #include "src/graph/paper_example.hpp"
+#include "src/partition/partition.hpp"
 #include "tests/watchdog.hpp"
 
 namespace {
@@ -38,42 +39,40 @@ using core::EngineConfig;
 using core::ExecMode;
 
 /// Wraps a vertex program; update_vertex throws exactly once, process-wide,
-/// when updating a vertex owned by `device` during `superstep`. Because
-/// update runs on the owning engine only, this kills precisely that rank.
-/// The one-shot latch keeps the throw out of the recovery run (which covers
-/// both partitions and would otherwise die at the same superstep again).
+/// when updating a vertex owned by `rank` during `superstep`. Because update
+/// runs on the owning engine only, this kills precisely that rank. The
+/// one-shot latch keeps the throw out of the recovery run (which covers all
+/// partitions and would otherwise die at the same superstep again).
 template <typename Base>
-class ThrowOn : public Base {
+class ThrowOnRank : public Base {
  public:
-  ThrowOn(Base base, std::shared_ptr<const std::vector<Device>> owner,
-          Device device, int superstep)
+  ThrowOnRank(Base base, std::shared_ptr<const std::vector<int>> owner,
+              int rank, int superstep)
       : Base(std::move(base)),
         owner_(std::move(owner)),
-        device_(device),
+        rank_(rank),
         superstep_(superstep),
         fired_(std::make_shared<std::atomic<bool>>(false)) {}
 
   template <typename View>
   bool update_vertex(const typename Base::message_t& msg, View& g,
                      vid_t u) const {
-    if (g.superstep == superstep_ && (*owner_)[g.global_id[u]] == device_ &&
+    if (g.superstep == superstep_ && (*owner_)[g.global_id[u]] == rank_ &&
         !fired_->exchange(true))
-      throw std::runtime_error("synthetic device failure");
+      throw std::runtime_error("synthetic rank failure");
     return Base::update_vertex(msg, g, u);
   }
 
  private:
-  std::shared_ptr<const std::vector<Device>> owner_;
-  Device device_;
+  std::shared_ptr<const std::vector<int>> owner_;
+  int rank_;
   int superstep_;
   std::shared_ptr<std::atomic<bool>> fired_;
 };
 
-std::shared_ptr<const std::vector<Device>> round_robin_owner(vid_t n) {
-  auto owner = std::make_shared<std::vector<Device>>(n);
-  for (vid_t v = 0; v < n; ++v)
-    (*owner)[v] = v % 2 == 0 ? Device::Cpu : Device::Mic;
-  return owner;
+std::shared_ptr<const std::vector<int>> round_robin_owner(const graph::Csr& g) {
+  return std::make_shared<const std::vector<int>>(
+      partition::round_robin_partition_k(g, {1, 1}));
 }
 
 EngineConfig cpu_cfg() {
@@ -101,14 +100,15 @@ graph::Csr test_graph() { return gen::pokec_like(3000, 30000, 7); }
 TEST(HeteroFailover, ThrowingProgramFailsOverInsteadOfTerminating) {
   phigraph::testing::Watchdog dog(std::chrono::seconds(120));
   const auto g = test_graph();
-  auto owner = round_robin_owner(g.num_vertices());
-  const ThrowOn<apps::PageRank> prog(apps::PageRank(), owner, Device::Mic,
-                                     /*superstep=*/2);
+  auto owner = round_robin_owner(g);
+  const ThrowOnRank<apps::PageRank> prog(apps::PageRank(), owner, /*rank=*/1,
+                                         /*superstep=*/2);
   auto cc = cpu_cfg();
   auto mc = mic_cfg();
   cc.max_supersteps = mc.max_supersteps = 10;
-  core::HeteroEngine<ThrowOn<apps::PageRank>> he(g, *owner, prog, cc, mc);
-  const auto res = he.run();
+  core::ClusterEngine<ThrowOnRank<apps::PageRank>> ce(g, *owner, prog,
+                                                      {cc, mc});
+  const auto res = ce.run();
 
   ASSERT_TRUE(res.completed) << res.fault.to_string();
   EXPECT_EQ(res.failover.failed_over, 1u);
@@ -126,14 +126,14 @@ TEST(HeteroFailover, ThrowingProgramFailsOverInsteadOfTerminating) {
 TEST(HeteroFailover, BfsCheckpointRecoveryIsBitIdenticalToSingleDevice) {
   phigraph::testing::Watchdog dog(std::chrono::seconds(120));
   const auto g = test_graph();
-  auto owner = round_robin_owner(g.num_vertices());
-  const ThrowOn<apps::Bfs> prog(apps::Bfs(0), owner, Device::Mic,
-                                /*superstep=*/2);
+  auto owner = round_robin_owner(g);
+  const ThrowOnRank<apps::Bfs> prog(apps::Bfs(0), owner, /*rank=*/1,
+                                    /*superstep=*/2);
   auto cc = cpu_cfg();
   auto mc = mic_cfg();
   cc.checkpoint.interval = mc.checkpoint.interval = 2;
-  core::HeteroEngine<ThrowOn<apps::Bfs>> he(g, *owner, prog, cc, mc);
-  const auto res = he.run();
+  core::ClusterEngine<ThrowOnRank<apps::Bfs>> ce(g, *owner, prog, {cc, mc});
+  const auto res = ce.run();
 
   ASSERT_TRUE(res.completed) << res.fault.to_string();
   EXPECT_EQ(res.failover.failed_over, 1u);
@@ -151,7 +151,7 @@ TEST(HeteroFailover, BfsCheckpointRecoveryIsBitIdenticalToSingleDevice) {
 TEST(HeteroFailover, PageRankFromScratchRecoveryIsBitIdentical) {
   phigraph::testing::Watchdog dog(std::chrono::seconds(120));
   const auto g = graph::paper_example_graph();
-  auto owner = round_robin_owner(g.num_vertices());
+  auto owner = round_robin_owner(g);
   // Single-threaded locking config: float reduction order is deterministic,
   // so a from-scratch CPU-only recovery must reproduce the single-device
   // run bit for bit (the recovery config is the CPU config).
@@ -164,10 +164,11 @@ TEST(HeteroFailover, PageRankFromScratchRecoveryIsBitIdentical) {
   // default (2 threads here), which would change float reduction order; pin
   // it back to one thread so bit-identity against run_single holds.
   det.recovery_threads = 1;
-  const ThrowOn<apps::PageRank> prog(apps::PageRank(), owner, Device::Mic,
-                                     /*superstep=*/3);
-  core::HeteroEngine<ThrowOn<apps::PageRank>> he(g, *owner, prog, det, det);
-  const auto res = he.run();
+  const ThrowOnRank<apps::PageRank> prog(apps::PageRank(), owner, /*rank=*/1,
+                                         /*superstep=*/3);
+  core::ClusterEngine<ThrowOnRank<apps::PageRank>> ce(g, *owner, prog,
+                                                      {det, det});
+  const auto res = ce.run();
 
   ASSERT_TRUE(res.completed) << res.fault.to_string();
   EXPECT_EQ(res.failover.failed_over, 1u);
@@ -180,17 +181,18 @@ TEST(HeteroFailover, PageRankFromScratchRecoveryIsBitIdentical) {
 TEST(HeteroFailover, LostSuperstepsAreBoundedByTheCheckpointInterval) {
   phigraph::testing::Watchdog dog(std::chrono::seconds(120));
   const auto g = test_graph();
-  auto owner = round_robin_owner(g.num_vertices());
+  auto owner = round_robin_owner(g);
   constexpr int kInterval = 3;
   constexpr int kFaultAt = 7;  // checkpoints at 3, 6 -> resume 6, lose 1
-  const ThrowOn<apps::PageRank> prog(apps::PageRank(), owner, Device::Mic,
-                                     kFaultAt);
+  const ThrowOnRank<apps::PageRank> prog(apps::PageRank(), owner, /*rank=*/1,
+                                         kFaultAt);
   auto cc = cpu_cfg();
   auto mc = mic_cfg();
   cc.max_supersteps = mc.max_supersteps = 10;
   cc.checkpoint.interval = mc.checkpoint.interval = kInterval;
-  core::HeteroEngine<ThrowOn<apps::PageRank>> he(g, *owner, prog, cc, mc);
-  const auto res = he.run();
+  core::ClusterEngine<ThrowOnRank<apps::PageRank>> ce(g, *owner, prog,
+                                                      {cc, mc});
+  const auto res = ce.run();
 
   ASSERT_TRUE(res.completed) << res.fault.to_string();
   EXPECT_EQ(res.failover.failed_over, 1u);
@@ -207,12 +209,12 @@ TEST(HeteroFailover, LostSuperstepsAreBoundedByTheCheckpointInterval) {
 TEST(HeteroFailover, CpuFaultAlsoFailsOver) {
   phigraph::testing::Watchdog dog(std::chrono::seconds(120));
   const auto g = test_graph();
-  auto owner = round_robin_owner(g.num_vertices());
-  const ThrowOn<apps::Bfs> prog(apps::Bfs(0), owner, Device::Cpu,
-                                /*superstep=*/1);
-  core::HeteroEngine<ThrowOn<apps::Bfs>> he(g, *owner, prog, cpu_cfg(),
-                                            mic_cfg());
-  const auto res = he.run();
+  auto owner = round_robin_owner(g);
+  const ThrowOnRank<apps::Bfs> prog(apps::Bfs(0), owner, /*rank=*/0,
+                                    /*superstep=*/1);
+  core::ClusterEngine<ThrowOnRank<apps::Bfs>> ce(g, *owner, prog,
+                                                 {cpu_cfg(), mic_cfg()});
+  const auto res = ce.run();
   ASSERT_TRUE(res.completed) << res.fault.to_string();
   EXPECT_EQ(res.failover.failed_over, 1u);
   EXPECT_EQ(res.fault.rank, 0);
@@ -222,36 +224,6 @@ TEST(HeteroFailover, CpuFaultAlsoFailsOver) {
 }
 
 // ---- N-rank kill matrix -----------------------------------------------------
-
-/// Rank-generalized ThrowOn: kills a specific rank of an N-rank cluster by
-/// throwing once while updating a vertex that rank owns. (fault::FaultPlan
-/// stays device-indexed, so the N-rank matrix injects through the program.)
-template <typename Base>
-class ThrowOnRank : public Base {
- public:
-  ThrowOnRank(Base base, std::shared_ptr<const std::vector<int>> owner,
-              int rank, int superstep)
-      : Base(std::move(base)),
-        owner_(std::move(owner)),
-        rank_(rank),
-        superstep_(superstep),
-        fired_(std::make_shared<std::atomic<bool>>(false)) {}
-
-  template <typename View>
-  bool update_vertex(const typename Base::message_t& msg, View& g,
-                     vid_t u) const {
-    if (g.superstep == superstep_ && (*owner_)[g.global_id[u]] == rank_ &&
-        !fired_->exchange(true))
-      throw std::runtime_error("synthetic rank failure");
-    return Base::update_vertex(msg, g, u);
-  }
-
- private:
-  std::shared_ptr<const std::vector<int>> owner_;
-  int rank_;
-  int superstep_;
-  std::shared_ptr<std::atomic<bool>> fired_;
-};
 
 /// K-shot thrower: fires at most `shots` times, process-wide, while updating
 /// a vertex owned (in the ORIGINAL owner map) by `rank` during `superstep`.
@@ -524,10 +496,9 @@ TEST(SingleDeviceFaults, UserExceptionsStillPropagateToTheCaller) {
   // run_single keeps its historical contract: no peer to poison, so the
   // user-program exception surfaces on the calling thread.
   const auto g = graph::paper_example_graph();
-  auto owner = std::make_shared<std::vector<Device>>(g.num_vertices(),
-                                                     Device::Cpu);
-  const ThrowOn<apps::PageRank> prog(apps::PageRank(), owner, Device::Cpu,
-                                     /*superstep=*/1);
+  auto owner = std::make_shared<std::vector<int>>(g.num_vertices(), 0);
+  const ThrowOnRank<apps::PageRank> prog(apps::PageRank(), owner, /*rank=*/0,
+                                         /*superstep=*/1);
   EngineConfig cfg = cpu_cfg();
   cfg.max_supersteps = 5;
   EXPECT_THROW((void)core::run_single(g, prog, cfg), std::runtime_error);

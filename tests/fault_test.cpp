@@ -18,6 +18,7 @@
 #include "src/fault/checkpoint.hpp"
 #include "src/fault/fault_injection.hpp"
 #include "src/gen/generators.hpp"
+#include "src/partition/partition.hpp"
 #include "tests/watchdog.hpp"
 
 namespace {
@@ -270,13 +271,10 @@ void run_injected(const FaultPlan& plan, bool expect_fire,
   fault::ScopedPlan armed(plan);
   phigraph::testing::Watchdog dog(std::chrono::seconds(120));
 
-  std::vector<Device> owner(g.num_vertices());
-  for (vid_t v = 0; v < g.num_vertices(); ++v)
-    owner[v] = v % 2 == 0 ? Device::Cpu : Device::Mic;
-  core::HeteroEngine<apps::PageRank> he(
-      g, owner, prog, fault_cfg(simd::kCpuSimdBytes),
-      fault_cfg(simd::kMicSimdBytes));
-  const auto res = he.run();
+  core::ClusterEngine<apps::PageRank> ce(
+      g, partition::round_robin_partition_k(g, {1, 1}), prog,
+      {fault_cfg(simd::kCpuSimdBytes), fault_cfg(simd::kMicSimdBytes)});
+  const auto res = ce.run();
 
   ASSERT_TRUE(res.completed) << res.fault.to_string();
   if (expect_fire) {

@@ -257,26 +257,17 @@ TEST(Frontier, ToposortIdenticalDenseAndSparse) {
 // through the sharded buffer, parallel exchange drain.
 // ---------------------------------------------------------------------------
 
-std::vector<Device> round_robin_owner(vid_t n, int a, int b) {
-  std::vector<Device> owner(n);
-  for (vid_t v = 0; v < n; ++v)
-    owner[v] = (static_cast<int>(v % static_cast<vid_t>(a + b)) < a)
-                   ? Device::Cpu
-                   : Device::Mic;
-  return owner;
-}
-
 TEST(FrontierHetero, BfsIdenticalAcrossThresholdsWithPeer) {
   const auto g = weighted_graph();
   const apps::Bfs prog(3);
   const auto classic = apps::classic_bfs(g, 3);
 
   for (double thresh : {kAlwaysDense, kAlwaysSparse, 0.05}) {
-    core::HeteroEngine<apps::Bfs> he(
-        g, round_robin_owner(g.num_vertices(), 1, 2), prog,
-        cfg(ExecMode::kLocking, thresh, 16),
-        cfg(ExecMode::kPipelining, thresh, 64));
-    auto res = he.run();
+    core::ClusterEngine<apps::Bfs> ce(
+        g, partition::round_robin_partition_k(g, {1, 2}), prog,
+        {cfg(ExecMode::kLocking, thresh, 16),
+         cfg(ExecMode::kPipelining, thresh, 64)});
+    auto res = ce.run();
     for (vid_t v = 0; v < g.num_vertices(); ++v)
       ASSERT_EQ(res.global_values[v], classic[v])
           << "vertex " << v << " threshold " << thresh;
@@ -292,9 +283,9 @@ TEST(FrontierHetero, SsspShardedRemoteCombineMatchesReference) {
   auto mic = cfg(ExecMode::kLocking, kAlwaysSparse, 64);
   cpu.remote_shards = 4;  // force multi-entry shards
   mic.remote_shards = 4;
-  core::HeteroEngine<apps::Sssp> he(
-      g, round_robin_owner(g.num_vertices(), 1, 1), prog, cpu, mic);
-  auto res = he.run();
+  core::ClusterEngine<apps::Sssp> ce(
+      g, partition::round_robin_partition_k(g, {1, 1}), prog, {cpu, mic});
+  auto res = ce.run();
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     ASSERT_EQ(res.global_values[v], ref[v]) << "vertex " << v;
 }

@@ -1,4 +1,4 @@
-// Device-partition tests: LocalGraph::split must conserve every edge and
+// Rank-partition tests: LocalGraph::split_n must conserve every edge and
 // expose correct ownership maps.
 #include <gtest/gtest.h>
 
@@ -15,8 +15,9 @@ using core::LocalGraph;
 
 TEST(LocalGraph, WholeKeepsEverything) {
   const auto g = gen::pokec_like(500, 5000, 3);
-  const auto lg = LocalGraph::whole(g, Device::Mic);
-  EXPECT_EQ(lg.device, Device::Mic);
+  const auto lg = LocalGraph::whole(g);
+  EXPECT_EQ(lg.rank, 0);
+  EXPECT_EQ(lg.nranks, 1);
   EXPECT_EQ(lg.num_local_vertices(), g.num_vertices());
   EXPECT_EQ(lg.local.num_edges(), g.num_edges());
   EXPECT_EQ(lg.in_degree, g.in_degrees());
@@ -29,11 +30,12 @@ TEST(LocalGraph, WholeKeepsEverything) {
 TEST(LocalGraph, SplitConservesEdgesAndValues) {
   auto g = gen::pokec_like(800, 8000, 5);
   gen::add_random_weights(g, 9);
-  auto owner = partition::round_robin_partition(g, {2, 3});
-  const auto parts = LocalGraph::split(g, owner);
+  const auto parts =
+      LocalGraph::split_n(g, partition::round_robin_partition_k(g, {2, 3}), 2);
 
-  EXPECT_EQ(parts[0].device, Device::Cpu);
-  EXPECT_EQ(parts[1].device, Device::Mic);
+  ASSERT_EQ(parts.size(), 2u);
+  EXPECT_EQ(parts[0].rank, 0);
+  EXPECT_EQ(parts[1].rank, 1);
   EXPECT_EQ(parts[0].num_local_vertices() + parts[1].num_local_vertices(),
             g.num_vertices());
   EXPECT_EQ(parts[0].local.num_edges() + parts[1].local.num_edges(),
@@ -59,21 +61,21 @@ TEST(LocalGraph, SplitConservesEdgesAndValues) {
 
 TEST(LocalGraph, OwnershipMapsAreConsistent) {
   const auto g = gen::erdos_renyi(300, 2000, 7);
-  auto owner = partition::continuous_partition(g, {1, 2});
-  const auto parts = LocalGraph::split(g, owner);
+  const auto owner = partition::continuous_partition_k(g, {1, 2});
+  const auto parts = LocalGraph::split_n(g, owner, 2);
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    const auto& lg = parts[device_index(owner[v])];
+    const auto& lg = parts[static_cast<std::size_t>(owner[v])];
     const vid_t local = (*lg.local_of)[v];
     ASSERT_LT(local, lg.num_local_vertices());
     EXPECT_EQ(lg.global_id[local], v);
-    EXPECT_EQ((*lg.owner)[v], owner[v]);
+    EXPECT_EQ((*lg.owner_rank)[v], owner[v]);
   }
 }
 
 TEST(LocalGraph, EmptySideIsFine) {
   const auto g = gen::erdos_renyi(100, 500, 2);
-  std::vector<Device> owner(g.num_vertices(), Device::Cpu);
-  const auto parts = LocalGraph::split(g, owner);
+  const auto parts =
+      LocalGraph::split_n(g, std::vector<int>(g.num_vertices(), 0), 2);
   EXPECT_EQ(parts[0].num_local_vertices(), 100u);
   EXPECT_EQ(parts[1].num_local_vertices(), 0u);
   EXPECT_EQ(parts[1].local.num_edges(), 0u);
@@ -82,10 +84,9 @@ TEST(LocalGraph, EmptySideIsFine) {
 TEST(LocalGraph, CrossEdgeCount) {
   const auto g = graph::Csr::from_edges(
       4, std::vector<std::pair<vid_t, vid_t>>{{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  std::vector<Device> owner = {Device::Cpu, Device::Cpu, Device::Mic,
-                               Device::Mic};
+  const std::vector<int> owner = {0, 0, 1, 1};
   // Cross: 1->2 and 3->0.
-  EXPECT_EQ(LocalGraph::count_cross_edges(g, owner), 2u);
+  EXPECT_EQ(partition::evaluate_partition_k(g, owner, 2).cross_edges, 2u);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <string>
 
 #include "src/gen/generators.hpp"
 #include "src/partition/partition.hpp"
@@ -14,7 +16,7 @@ namespace {
 
 using namespace phigraph;
 using partition::BlockedOptions;
-using partition::Ratio;
+using partition::RankWeights;
 
 graph::Csr skewed_graph() {
   // Pokec-like: hubs at the front — what breaks continuous partitioning.
@@ -23,8 +25,8 @@ graph::Csr skewed_graph() {
 
 TEST(Partition, ContinuousSplitsByVertexCount) {
   const auto g = skewed_graph();
-  const auto owner = partition::continuous_partition(g, {3, 5});
-  const auto s = partition::evaluate_partition(g, owner);
+  const auto owner = partition::continuous_partition_k(g, {3, 5});
+  const auto s = partition::evaluate_partition_k(g, owner, 2);
   EXPECT_NEAR(static_cast<double>(s.verts[0]) / g.num_vertices(), 3.0 / 8, 1e-3);
   // ... but the EDGE split is far off the requested 3:5 because the hubs
   // cluster in the CPU's range (the paper's §IV-E observation).
@@ -33,9 +35,9 @@ TEST(Partition, ContinuousSplitsByVertexCount) {
 
 TEST(Partition, RoundRobinBalancesEdgesButCutsEverything) {
   const auto g = skewed_graph();
-  const auto rr = partition::round_robin_partition(g, {1, 1});
-  const auto s = partition::evaluate_partition(g, rr);
-  EXPECT_LT(std::abs(s.balance_error({1, 1})), 0.05);
+  const auto rr = partition::round_robin_partition_k(g, {1, 1});
+  const auto s = partition::evaluate_partition_k(g, rr, 2);
+  EXPECT_LT(s.balance_error({1, 1}), 0.05);
   // Interleaved vertices cut roughly half of all edges at 1:1.
   EXPECT_GT(static_cast<double>(s.cross_edges) / g.num_edges(), 0.4);
 }
@@ -45,15 +47,17 @@ TEST(Partition, HybridIsBalancedAndCutsLessThanRoundRobin) {
   BlockedOptions opt;
   opt.num_blocks = 64;
   const auto bp = partition::blocked_min_cut(g, opt);
-  for (Ratio r : {Ratio{1, 1}, Ratio{3, 5}, Ratio{2, 1}, Ratio{1, 4}}) {
-    const auto hy = partition::hybrid_partition(bp, r);
-    const auto rr = partition::round_robin_partition(g, r);
-    const auto sh = partition::evaluate_partition(g, hy);
-    const auto sr = partition::evaluate_partition(g, rr);
-    EXPECT_LT(std::abs(sh.balance_error(r)), 0.2)  // 64 lumpy blocks: coarse granularity
-        << "ratio " << r.cpu << ":" << r.mic;
+  for (const RankWeights& w :
+       {RankWeights{1, 1}, RankWeights{3, 5}, RankWeights{2, 1},
+        RankWeights{1, 4}}) {
+    const auto sh = partition::evaluate_partition_k(
+        g, partition::hybrid_partition_k(bp, w), 2);
+    const auto sr = partition::evaluate_partition_k(
+        g, partition::round_robin_partition_k(g, w), 2);
+    EXPECT_LT(sh.balance_error(w), 0.2)  // 64 lumpy blocks: coarse granularity
+        << "ratio " << w[0] << ":" << w[1];
     EXPECT_LT(sh.cross_edges, sr.cross_edges)
-        << "ratio " << r.cpu << ":" << r.mic;
+        << "ratio " << w[0] << ":" << w[1];
   }
 }
 
@@ -62,12 +66,12 @@ TEST(Partition, BlockedPartitionReusableAcrossRatios) {
   // of Metis for different partitioning ratios."
   const auto g = gen::dblp_like(5000, 15000, 3);
   const auto bp = partition::blocked_min_cut(g, {.num_blocks = 32, .seed = 5});
-  const auto o1 = partition::hybrid_partition(bp, {1, 1});
-  const auto o2 = partition::hybrid_partition(bp, {1, 3});
-  const auto s1 = partition::evaluate_partition(g, o1);
-  const auto s2 = partition::evaluate_partition(g, o2);
-  EXPECT_LT(std::abs(s1.balance_error({1, 1})), 0.2);
-  EXPECT_LT(std::abs(s2.balance_error({1, 3})), 0.2);
+  const auto s1 = partition::evaluate_partition_k(
+      g, partition::hybrid_partition_k(bp, {1, 1}), 2);
+  const auto s2 = partition::evaluate_partition_k(
+      g, partition::hybrid_partition_k(bp, {1, 3}), 2);
+  EXPECT_LT(s1.balance_error({1, 1}), 0.2);
+  EXPECT_LT(s2.balance_error({1, 3}), 0.2);
 }
 
 TEST(Partition, BlockedMinCutQualityOnCommunityGraph) {
@@ -98,43 +102,75 @@ TEST(Partition, DegenerateSmallGraph) {
   // One vertex per block when blocks >= vertices.
   std::set<vid_t> used(bp.block_of.begin(), bp.block_of.end());
   EXPECT_EQ(used.size(), 10u);
-  const auto owner = partition::hybrid_partition(bp, {1, 1});
-  const auto s = partition::evaluate_partition(g, owner);
+  const auto owner = partition::hybrid_partition_k(bp, {1, 1});
+  const auto s = partition::evaluate_partition_k(g, owner, 2);
   EXPECT_EQ(s.verts[0] + s.verts[1], 10u);
 }
 
 TEST(Partition, FileRoundTrip) {
   const auto g = gen::erdos_renyi(100, 300, 2);
-  const auto owner = partition::round_robin_partition(g, {2, 3});
+  const auto owner = partition::round_robin_partition_k(g, {2, 3, 1});
   const auto path =
       (std::filesystem::temp_directory_path() / "pg_part_test.txt").string();
   partition::save_partition(owner, path);
-  const auto loaded = partition::load_partition(path);
+  const auto loaded = partition::load_partition(path, g.num_vertices(), 3);
   EXPECT_EQ(owner, loaded);
   std::filesystem::remove(path);
 }
 
-// ---- k-way (N-rank) schemes -------------------------------------------------
+// ---- partition file loader hardening ----------------------------------------
+//
+// Each rejection names the file and the 1-based line instead of loading a
+// silently wrong owner map.
 
-TEST(PartitionKway, TwoRankFormsMatchTheRatioSchemes) {
-  const auto g = gen::pokec_like(2000, 16000, 9);
-  for (auto [a, b] : {std::pair{1, 1}, std::pair{2, 3}, std::pair{3, 5}}) {
-    const partition::RankWeights w{a, b};
-    const auto as_rank = [](const std::vector<Device>& o) {
-      std::vector<int> r(o.size());
-      for (std::size_t i = 0; i < o.size(); ++i)
-        r[i] = o[i] == Device::Cpu ? 0 : 1;
-      return r;
-    };
-    EXPECT_EQ(partition::continuous_partition_k(g, w),
-              as_rank(partition::continuous_partition(g, {a, b})));
-    EXPECT_EQ(partition::round_robin_partition_k(g, w),
-              as_rank(partition::round_robin_partition(g, {a, b})));
-    const auto bp = partition::blocked_min_cut(g, {.num_blocks = 64, .seed = 3});
-    EXPECT_EQ(partition::hybrid_partition_k(bp, w),
-              as_rank(partition::hybrid_partition(bp, {a, b})));
+/// Writes `text` as a partition file, expects loading it for `n` vertices
+/// and 2 ranks to abort with a diagnostic matching `message`.
+void expect_rejected(const std::string& text, vid_t n, const char* message) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const auto path =
+      (std::filesystem::temp_directory_path() / ("pg_part_" + name + ".txt"))
+          .string();
+  {
+    std::ofstream out(path);
+    out << text;
   }
+  EXPECT_DEATH((void)partition::load_partition(path, n, 2), message);
+  std::filesystem::remove(path);
 }
+
+TEST(PartitionFile, RejectsMissingHeader) {
+  expect_rejected("\n\n", 5, "missing vertex-count header");
+}
+
+TEST(PartitionFile, RejectsNonNumericHeader) {
+  expect_rejected("abc\n", 5, ":1: non-numeric vertex-count token 'abc'");
+}
+
+TEST(PartitionFile, RejectsVertexCountMismatch) {
+  expect_rejected("2\n0\n1\n", 5,
+                  ":1: partition covers 2 vertices, the graph has 5");
+}
+
+TEST(PartitionFile, RejectsNonNumericEntry) {
+  expect_rejected("3\n0\nx\n1\n", 3, ":3: non-numeric rank token 'x'");
+}
+
+TEST(PartitionFile, RejectsOutOfRangeRank) {
+  expect_rejected("3\n0\n7\n1\n", 3, ":3: rank 7 outside");
+}
+
+TEST(PartitionFile, RejectsTruncatedFile) {
+  expect_rejected("3\n0\n1\n", 3, "truncated after line 3: 2 of 3 entries");
+}
+
+TEST(PartitionFile, RejectsTrailingTokens) {
+  expect_rejected("2\n0\n1\n1\n0\n7\n", 2,
+                  ":4: trailing token '1' after 2 entries");
+}
+
+// ---- k-way (N-rank) schemes -------------------------------------------------
 
 // The k-way properties the cluster engine relies on: for every rank count,
 // round-robin balances vertices within 5% of each rank's share (its actual,
@@ -208,12 +244,10 @@ TEST(PartitionKway, ZeroWeightRankReceivesNothing) {
 
 TEST(Partition, ExtremeRatios) {
   const auto g = gen::erdos_renyi(1000, 5000, 4);
-  const auto all_cpu = partition::continuous_partition(g, {1, 0});
-  for (Device d : all_cpu) EXPECT_EQ(d, Device::Cpu);
-  const auto all_mic = partition::continuous_partition(g, {0, 1});
-  for (Device d : all_mic) EXPECT_EQ(d, Device::Mic);
-  const auto hy = partition::hybrid_partition(g, {1, 0}, {.num_blocks = 8});
-  for (Device d : hy) EXPECT_EQ(d, Device::Cpu);
+  for (int r : partition::continuous_partition_k(g, {1, 0})) EXPECT_EQ(r, 0);
+  for (int r : partition::continuous_partition_k(g, {0, 1})) EXPECT_EQ(r, 1);
+  for (int r : partition::hybrid_partition_k(g, {1, 0}, {.num_blocks = 8}))
+    EXPECT_EQ(r, 0);
 }
 
 }  // namespace

@@ -144,10 +144,10 @@ TEST(Model, HeteroLockstepTakesTheSlowerDevice) {
   tiny_c.edges_scanned = 10;
   metrics::RunTrace tiny{tiny_c};
 
-  const auto est = sim::model_hetero(big, cpu, profile(ExecMode::kLocking, 16),
-                                     tiny, mic,
-                                     profile(ExecMode::kPipelining, 180, 60),
-                                     sim::LinkSpec{});
+  const auto est = sim::model_cluster(
+      {{&big, cpu, profile(ExecMode::kLocking, 16)},
+       {&tiny, mic, profile(ExecMode::kPipelining, 180, 60)}},
+      sim::LinkSpec{});
   const auto cpu_alone =
       sim::model_run(big, cpu, profile(ExecMode::kLocking, 16));
   // All the work is on the CPU: lockstep time ~= CPU execution time.

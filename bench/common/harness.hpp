@@ -126,8 +126,8 @@ inline DeviceSetup with_direction(DeviceSetup d, core::DirectionMode dir) {
 
 /// The direction the paper-reproduction versions run in. All-active
 /// programs (PageRank) are pinned to the CSB push path the paper's
-/// OMP/Lock/Pipe/novec comparisons measure; on one device they would
-/// otherwise pull. Traversals keep the default kAuto.
+/// OMP/Lock/Pipe/novec and partitioning comparisons measure; at any rank
+/// count they would otherwise pull. Traversals keep the default kAuto.
 template <core::VertexProgram Program>
 [[nodiscard]] constexpr core::DirectionMode paper_direction() noexcept {
   return Program::kAllActive ? core::DirectionMode::kForcePush

@@ -42,10 +42,16 @@ void run_app(const char* app, const graph::Csr& g, const Program& prog,
              int iters, const partition::RankWeights& ratio, bool mic_pipe,
              const bench::AppCost& cost, const char* paper_band,
              bench::JsonEmitter* json, bool emit_uncombined = false) {
-  const auto cpu = with_cost(bench::cpu_setup(ExecMode::kLocking), cost);
-  const auto mic = with_cost(
-      bench::mic_setup(mic_pipe ? ExecMode::kPipelining : ExecMode::kLocking),
-      cost);
+  // The paper's direction: PageRank stays on the CSB push path these
+  // exec/comm figures measure (a cluster would otherwise pull it).
+  constexpr auto dir = bench::paper_direction<Program>();
+  const auto cpu = bench::with_direction(
+      with_cost(bench::cpu_setup(ExecMode::kLocking), cost), dir);
+  const auto mic = bench::with_direction(
+      with_cost(bench::mic_setup(mic_pipe ? ExecMode::kPipelining
+                                          : ExecMode::kLocking),
+                cost),
+      dir);
 
   const auto bp = partition::blocked_min_cut(g, {.num_blocks = 256, .seed = 42});
   SchemeResult res[3];

@@ -6,15 +6,12 @@
 // counters (pull supersteps, probed in-edges, early exits). The power-law
 // graph is where the hybrid pays off: its dense middle supersteps switch to
 // the bitmap pull scan; the uniform graph's shallow plateau barely triggers.
-// Also prints the threshold tuner's (alpha, beta) pick from a forced-push
-// probe — compare against the literature defaults 14/24.
 #include <cstdio>
 #include <string>
 
 #include "bench/common/harness.hpp"
 #include "src/apps/bfs.hpp"
 #include "src/apps/sssp.hpp"
-#include "src/tune/autotune.hpp"
 
 namespace {
 
@@ -33,11 +30,10 @@ void direction_sweep(const char* graph_name, const graph::Csr& g,
   std::printf("   %-6s %12s %12s %12s %6s %14s %12s\n", "dir", "host (s)",
               "cpu model", "mic model", "pulls", "pull edges", "early exit");
 
-  metrics::RunTrace push_trace;
   for (DirectionMode mode : kModes) {
     const auto cpu = bench::with_direction(
         bench::cpu_setup(core::ExecMode::kLocking), mode);
-    auto res = bench::run_device(g, prog, cpu, iters);
+    const auto res = bench::run_device(g, prog, cpu, iters);
     const auto mic = bench::with_direction(
         bench::mic_setup(core::ExecMode::kLocking), mode);
     const double mic_model =
@@ -52,25 +48,7 @@ void direction_sweep(const char* graph_name, const graph::Csr& g,
     json.add_version(std::string(app_name) + " " + graph_name + " " +
                          core::direction_mode_name(mode),
                      res.modeled.execution(), 0, res.trace, res.phases);
-    if (mode == DirectionMode::kForcePush) push_trace = std::move(res.trace);
   }
-
-  const auto mic = bench::mic_setup(core::ExecMode::kLocking);
-  auto prof = mic.profile;
-  prof.msg_bytes = sizeof(typename Program::message_t);
-  prof.value_bytes = sizeof(typename Program::vertex_value_t);
-  prof.num_vertices = g.num_vertices();
-  const auto choice = tune::tune_direction_thresholds(
-      push_trace, g.num_vertices(), g.num_edges(), mic.spec, prof);
-  if (choice.alpha > 0.0)
-    std::printf(
-        "   -> MIC threshold tuner picks alpha=%.0f beta=%.0f "
-        "(%.4fs vs %.4fs all-push; defaults 14/24)\n",
-        choice.alpha, choice.beta, choice.modeled_seconds,
-        choice.push_only_seconds);
-  else
-    std::printf("   -> MIC threshold tuner keeps all-push (%.4fs)\n",
-                choice.push_only_seconds);
 }
 
 }  // namespace

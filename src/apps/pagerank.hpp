@@ -6,12 +6,13 @@
 //  values from the neighbors, utilizing SIMD processing. The vertex update
 //  sub-step updates each vertex's PageRank value using the sum."
 //
-// The program is also pullable: on a single device the engine gathers each
-// vertex's in-neighbor shares in ascending source order instead of pushing
-// them through the CSB. That is the reference's fold order, so the pulled
-// sums are bit-identical to the pushed single-worker ones at any thread
-// count. Each share is computed once per superstep (pull_source), with the
-// same expression generate_messages uses.
+// The program is also pullable: at any rank count the engine gathers each
+// vertex's in-neighbor shares in ascending global source order instead of
+// pushing them through the CSB (ranks swap their boundary shares first).
+// That is the reference's fold order, so the pulled sums are bit-identical
+// to the pushed single-worker ones at any rank and thread count. Each share
+// is computed once per superstep (pull_source), with the same expression
+// generate_messages uses.
 #pragma once
 
 #include "src/common/types.hpp"

@@ -71,10 +71,10 @@ struct EngineConfig {
   /// Traversal direction (push vs pull) for programs that declare
   /// kPullable (BFS/SSSP/CC/PageRank). kAuto applies the alpha/beta rule
   /// per superstep, except that all-active programs (PageRank) pull every
-  /// superstep; kForcePush reproduces the pre-direction engine exactly (the
-  /// CSB path); kForcePull pulls every superstep. Non-pullable programs and
-  /// multi-device partitions (which lack in-neighbor values locally)
-  /// always push.
+  /// superstep at any rank count; kForcePush reproduces the pre-direction
+  /// engine exactly (the CSB path); kForcePull pulls every superstep.
+  /// Non-pullable programs always push, and so do traversals on a rank
+  /// with peers (a gather there would need remote frontier bits).
   DirectionMode direction_mode = DirectionMode::kAuto;
 
   /// Shards for the remote buffer's touched lists: deposits contend per

@@ -13,11 +13,14 @@
 //   5. update    — user update_vertex() per message-receiving vertex
 //   6. terminate — exchange next-active counts; stop when globally idle
 //
-// On a single device, pullable programs may run generate bottom-up instead:
-// each vertex gathers from its in-neighbors over a transposed CSR (built in
-// parallel at construction) and nothing enters the CSB. Traversals choose
-// per superstep; all-active programs (PageRank) pull every superstep, and an
-// engine that can never push allocates no CSB at all.
+// Pullable programs may run generate bottom-up instead: each vertex gathers
+// from its in-neighbors over a transposed CSR (built in parallel at
+// construction) and nothing enters the CSB. On a single device traversals
+// choose per superstep; all-active programs (PageRank) pull every superstep
+// at any rank count. A rank with peers holds the in-edges of the vertices it
+// owns, with global sources, and swaps its boundary shares with the other
+// ranks before each gather. An engine that can never push allocates no CSB
+// (and, with peers, no remote buffer) at all.
 //
 // The same code runs as the paper's "CPU" and "MIC" instances — only the
 // EngineConfig (thread layout, SIMD profile, execution scheme) differs —
@@ -108,13 +111,16 @@ class DeviceEngine {
   using Batch = std::vector<pipeline::Envelope<Msg>>;
 
   /// Wiring to the other ranks of a heterogeneous / cluster run: this
-  /// engine's rank plus the run-wide all-to-all channels (data batches and
-  /// termination-control words). The paper's CPU+MIC configuration is the
-  /// num_ranks() == 2 case with rank 0 = CPU, rank 1 = MIC.
+  /// engine's rank, the run-wide all-to-all channels (data batches and
+  /// termination-control words), and the whole graph the partitions were
+  /// split from, which a pulling rank transposes for its owned vertices.
+  /// The paper's CPU+MIC configuration is the num_ranks() == 2 case with
+  /// rank 0 = CPU, rank 1 = MIC.
   struct PeerLink {
     int rank = 0;
     comm::AllToAll<Batch>* data = nullptr;
     comm::AllToAll<std::uint64_t>* control = nullptr;
+    const graph::Csr* graph = nullptr;
   };
 
   DeviceEngine(LocalGraph lg, Program prog, EngineConfig cfg,
@@ -136,6 +142,9 @@ class DeviceEngine {
                    "PeerLink rank outside the channel's rank count");
       PG_CHECK_MSG(peer_->control->num_ranks() == nranks_,
                    "data and control channels disagree on the rank count");
+      PG_CHECK_MSG(peer_->graph != nullptr &&
+                       peer_->graph->num_vertices() == lg_.global_num_vertices,
+                   "PeerLink needs the graph the partition was split from");
     }
     const vid_t n = lg_.num_local_vertices();
     if (!peer_) {
@@ -151,14 +160,15 @@ class DeviceEngine {
     values_.resize(n);
     active_.assign(n, 0);
     next_active_.assign(n, 0);
-    // Pull state: engaged for pullable programs on a single-device partition
-    // (a split partition keeps global edge targets and lacks in-neighbor
-    // values locally), so kForcePull with a peer degrades to push.
-    pull_ready_ = is_pullable<Program>() && !peer_ &&
-                  cfg_.direction_mode != DirectionMode::kForcePush;
+    // Pull state: a single device pulls any pullable program; a rank with
+    // peers pulls only what pulls_with_peers() admits, so kForcePull on a
+    // traversal with a peer degrades to push.
+    pull_ready_ =
+        cfg_.direction_mode != DirectionMode::kForcePush &&
+        (peer_ ? pulls_with_peers<Program>() : is_pullable<Program>());
     // Push state: an engine that can never push — it pulls every superstep,
-    // all-active under kAuto or forced to — builds no CSB and no OMP
-    // accumulators.
+    // all-active under kAuto or forced to — builds no CSB, no OMP
+    // accumulators and no remote buffer.
     const bool pulls_only =
         pull_ready_ && (Program::kAllActive ||
                         cfg_.direction_mode == DirectionMode::kForcePull);
@@ -173,7 +183,7 @@ class DeviceEngine {
       bc.mode = cfg_.column_mode;
       csb_.emplace(std::span<const vid_t>(lg_.in_degree), bc);
     }
-    if (peer_)
+    if (peer_ && !pulls_only)
       remote_.emplace(lg_.global_num_vertices, cfg_.remote_shards, nranks_);
     if (cfg_.checkpoint.enabled())
       ckpt_.emplace(cfg_.checkpoint, peer_ ? peer_->rank : 0);
@@ -188,12 +198,16 @@ class DeviceEngine {
     if constexpr (!Program::kAllActive)
       tl_frontier_.resize(static_cast<std::size_t>(cfg_.total_threads()));
     if (pull_ready_) {
-      in_edges_ = parallel_transpose(lg_.local, lg_.in_degree, *team_);
+      if (peer_)
+        build_owned_in_edges();
+      else
+        in_edges_ = parallel_transpose(lg_.local, lg_.in_degree, *team_);
       // The build ran on this thread; run() may be driven from another.
       team_->rebind_orchestrator();
       if constexpr (!Program::kAllActive)
         pull_frontier_.resize(static_cast<std::size_t>(n));
-      if constexpr (HasPullSource<Program>) pull_src_.resize(n);
+      if constexpr (HasPullSource<Program>)
+        pull_src_.resize(lg_.global_num_vertices);
       pull_acc_.resize(n);
       pull_has_.assign(n, 0);
     }
@@ -259,11 +273,12 @@ class DeviceEngine {
     dir_policy_.reset();
     last_direction_ = Direction::kPush;
     explored_edges_est_ = 0;
-    // Epoch hygiene for in-place restores: half-staged remote messages from
-    // the aborted superstep must not leak into the resumed run, and traffic
-    // accounting restarts (the aborted epoch's RunResult already reported
-    // its bytes).
+    // Epoch hygiene for in-place restores: half-staged remote messages and
+    // pull results from the aborted superstep must not leak into the resumed
+    // run, and traffic accounting restarts (the aborted epoch's RunResult
+    // already reported its bytes).
     if (remote_) remote_->advance_epoch();
+    std::fill(pull_has_.begin(), pull_has_.end(), 0);
     std::fill(bytes_to_.begin(), bytes_to_.end(), 0);
     std::fill(bytes_from_.begin(), bytes_from_.end(), 0);
     // The resumed run may be driven by a freshly spawned cluster thread;
@@ -390,13 +405,37 @@ class DeviceEngine {
     {
       phase_ = "generate";
       PG_AUDIT_PHASE_ENTER(bsp_phase_, kGenerate);
-      PG_TRACE_SCOPE(kGenerate, s, rank());
-      Timer t;
-      generate(s);
-      ps.generate = t.seconds();
+      {
+        PG_TRACE_SCOPE(kGenerate, s, rank());
+        Timer t;
+        generate(s);
+        ps.generate = t.seconds();
+      }
+      // generate() only readied a pull superstep's operands; the gather
+      // follows. Ranks with peers first swap their boundary shares: that
+      // swap stays inside the generate phase (nothing reaches a CSB), but
+      // its time and any fault it meets belong to the exchange.
+      if (superstep_direction_ == Direction::kPull) {
+        if (peer_) {
+          phase_ = "exchange";
+          Timer t;
+          bool ok;
+          {
+            PG_TRACE_SCOPE(kExchange, s, rank());
+            ok = swap_shares(s, res);
+          }
+          ps.exchange = t.seconds();
+          if (!ok) return StepOutcome::kPeerFailed;
+          phase_ = "generate";
+        }
+        PG_TRACE_SCOPE(kGenerate, s, rank());
+        Timer t;
+        gather(s);
+        ps.generate += t.seconds();
+      }
     }
 
-    if (peer_) {
+    if (peer_ && superstep_direction_ == Direction::kPush) {
       phase_ = "exchange";
       PG_AUDIT_PHASE_ENTER(bsp_phase_, kExchange);
       Timer t;
@@ -690,6 +729,32 @@ class DeviceEngine {
   [[nodiscard]] vid_t local_id(vid_t global) const noexcept {
     return peer_ ? (*lg_.local_of)[global] : global;
   }
+  [[nodiscard]] vid_t global_of(vid_t local) const noexcept {
+    return peer_ ? lg_.global_id[local] : local;
+  }
+
+  /// Pull state of a rank with peers: the in-edges of its owned vertices,
+  /// transposed from the whole graph with global sources, and for every
+  /// peer the owned vertices (global ids, ascending) with an out-neighbor
+  /// there — the shares that peer's gathers read.
+  void build_owned_in_edges() {
+    const vid_t n = lg_.num_local_vertices();
+    {
+      std::vector<vid_t> row_of(lg_.global_num_vertices, kInvalidVertex);
+      for (vid_t u = 0; u < n; ++u) row_of[lg_.global_id[u]] = u;
+      in_edges_ = parallel_transpose(*peer_->graph, lg_.in_degree, *team_,
+                                     row_of);
+    }
+    boundary_.resize(static_cast<std::size_t>(nranks_));
+    std::vector<vid_t> last(static_cast<std::size_t>(nranks_), kInvalidVertex);
+    for (vid_t u = 0; u < n; ++u)
+      for (const vid_t t : lg_.local.out_neighbors(u)) {
+        const auto r = static_cast<std::size_t>(owner_rank_of(t));
+        if (static_cast<int>(r) == rank() || last[r] == u) continue;
+        last[r] = u;
+        boundary_[r].push_back(lg_.global_id[u]);
+      }
+  }
 
   void deposit_remote(vid_t global_dst, const Msg& m, ThreadStats& ts) {
     const int dst_rank = owner_rank_of(global_dst);
@@ -804,14 +869,14 @@ class DeviceEngine {
            cfg_.sparse_iteration_threshold * n;
   }
 
-  /// Pick this superstep's traversal direction. Push-only engines (non-
-  /// pullable program, peer present, or kForcePush) always push; all-active
-  /// programs and kForcePull always pull. Otherwise kAuto feeds the
-  /// frontier's vertex/edge mass and the unexplored-edge estimate into the
-  /// alpha/beta policy. The explored-edge estimate accumulates the
-  /// frontier's out-edge mass every superstep regardless of the chosen
-  /// direction — exactly what sim::predict_direction_mix replays from a
-  /// forced-push probe trace (where edges_scanned == frontier edge mass).
+  /// Pick this superstep's traversal direction. Engines that cannot pull
+  /// (see pull_ready_) always push; all-active programs and kForcePull
+  /// always pull. Otherwise kAuto feeds the frontier's vertex/edge mass and
+  /// the unexplored-edge estimate into the alpha/beta policy. The
+  /// explored-edge estimate accumulates the frontier's out-edge mass every
+  /// superstep regardless of the chosen direction — exactly what
+  /// sim::predict_direction_mix replays from a forced-push probe trace
+  /// (where edges_scanned == frontier edge mass).
   [[nodiscard]] Direction decide_direction() {
     if (!pull_ready_) return Direction::kPush;
     if (Program::kAllActive ||
@@ -865,7 +930,7 @@ class DeviceEngine {
     last_direction_ = dir;
     superstep_direction_ = dir;
     if (dir == Direction::kPull) {
-      generate_pull(superstep);
+      load_pull_operands();
       return;
     }
     const vid_t n = lg_.num_local_vertices();
@@ -951,15 +1016,12 @@ class DeviceEngine {
     tstats_[0].sched_retrievals += sched_.retrievals();
   }
 
-  /// Bottom-up generation (paper-external: Beamer-style direction switch).
-  /// Every vertex still lacking a result scans its in-neighbors against a
-  /// word-packed bitmap of the frontier, feeding pull_message() results into
-  /// a private accumulator slot — the owning thread is the only writer, so
-  /// there are no locks, no CSB traffic and no queue traffic. process()
-  /// naturally no-ops afterwards (no CSB group is dirtied) and update()
-  /// takes its pull branch. All-active programs have no frontier: every
-  /// in-neighbor is folded, and the bitmap is never built.
-  void generate_pull(int superstep) {
+  /// Bottom-up generation (paper-external: Beamer-style direction switch),
+  /// first step: ready what the gather reads — the word-packed frontier
+  /// bitmap of a traversal, and the pull_source operand of every owned
+  /// vertex, filed under its global id. All-active programs have no
+  /// frontier, and the bitmap is never built.
+  void load_pull_operands() {
     if constexpr (is_pullable<Program>()) {
       const vid_t n = lg_.num_local_vertices();
       superstep_sparse_ = false;
@@ -987,31 +1049,70 @@ class DeviceEngine {
           while (auto r = sched_.next_chunk())
             for (std::size_t i = r->begin; i < r->end; ++i) {
               const vid_t u = static_cast<vid_t>(i);
-              pull_src_[u] =
+              pull_src_[global_of(u)] =
                   prog_.pull_source(values_[u], lg_.local.out_degree(u));
             }
         });
         tstats_[0].sched_retrievals += sched_.retrievals();
       }
-      const bool weighted = in_edges_->has_edge_values();
-      sched_.reset(static_cast<std::size_t>(n), cfg_.sched_chunk);
-      team_run_guarded([&](int tid) {
-        auto& ts = tstats_[static_cast<std::size_t>(tid)];
-        PG_TRACE_SCOPE(kPullScan, superstep, rank());
-        while (auto r = sched_.next_chunk()) {
-          for (std::size_t i = r->begin; i < r->end; ++i)
-            pull_vertex(static_cast<vid_t>(i), weighted, superstep, ts);
-        }
-      });
-      tstats_[0].sched_retrievals += sched_.retrievals();
-#if PG_TRACE_ENABLED
-      std::uint64_t scanned = 0;
-      for (const auto& t : tstats_) scanned += t.pull_edges;
-      hist_pull_scan_.record(scanned);
-#endif
     } else {
-      (void)superstep;
       PG_CHECK_MSG(false, "pull superstep on a non-pullable program");
+    }
+  }
+
+  /// Second step of a pull superstep: every vertex still lacking a result
+  /// scans its in-neighbors (against the frontier bitmap, for traversals),
+  /// feeding pull_message() results into a private accumulator slot — the
+  /// owning thread is the only writer, so there are no locks, no CSB
+  /// traffic and no queue traffic. process() naturally no-ops afterwards
+  /// (no CSB group is dirtied) and update() takes its pull branch.
+  void gather(int superstep) {
+    const bool weighted = in_edges_->has_edge_values();
+    sched_.reset(static_cast<std::size_t>(lg_.num_local_vertices()),
+                 cfg_.sched_chunk);
+    team_run_guarded([&](int tid) {
+      auto& ts = tstats_[static_cast<std::size_t>(tid)];
+      PG_TRACE_SCOPE(kPullScan, superstep, rank());
+      while (auto r = sched_.next_chunk()) {
+        for (std::size_t i = r->begin; i < r->end; ++i)
+          pull_vertex(static_cast<vid_t>(i), weighted, superstep, ts);
+      }
+    });
+    tstats_[0].sched_retrievals += sched_.retrievals();
+#if PG_TRACE_ENABLED
+    std::uint64_t scanned = 0;
+    for (const auto& t : tstats_) scanned += t.pull_edges;
+    hist_pull_scan_.record(scanned);
+#endif
+  }
+
+  /// The share swap of a pull superstep on a rank with peers: each peer
+  /// gets the pull operands (shares) of the owned vertices with an
+  /// out-neighbor on it, as (global id, share) envelopes over the data
+  /// channel, and the received shares are filed under their global ids for
+  /// the gather. Same fault point, deadline, poison handling and byte
+  /// accounting as exchange_messages(). Returns false when a peer is down
+  /// (RunResult filled via handle_peer_down); true on a completed swap.
+  bool swap_shares(int superstep, RunResult& res) {
+    PG_FAULT_POINT(kExchangeDeposit, rank(), superstep);
+    if constexpr (pulls_with_peers<Program>()) {
+      std::vector<Batch> outgoing(static_cast<std::size_t>(nranks_));
+      for (int r = 0; r < nranks_; ++r) {
+        const auto& ids = boundary_[static_cast<std::size_t>(r)];
+        Batch& out = outgoing[static_cast<std::size_t>(r)];
+        out.resize(ids.size());
+        for (std::size_t i = 0; i < ids.size(); ++i)
+          out[i] = {ids[i], pull_src_[ids[i]]};
+      }
+      return exchange_batches(std::move(outgoing), superstep, res,
+                              [this](const Batch& in) {
+                                for (const auto& env : in)
+                                  pull_src_[env.dst] = env.value;
+                              });
+    } else {
+      (void)res;
+      PG_CHECK_MSG(false, "share swap on a program ranks cannot pull");
+      return false;
     }
   }
 
@@ -1021,7 +1122,7 @@ class DeviceEngine {
   /// independent) fold every frontier in-neighbor, vectorized when the
   /// program supplies pull_message_vec and the profile enables SIMD.
   /// All-active programs (PageRank) fold every in-neighbor as a scalar
-  /// left fold in ascending source order, the reference's order.
+  /// left fold in ascending global source order, the reference's order.
   void pull_vertex(vid_t u, bool weighted, int superstep, ThreadStats& ts) {
     (void)superstep;  // only consumed by the audit/fault macros
     if constexpr (is_pullable<Program>()) {
@@ -1153,6 +1254,38 @@ class DeviceEngine {
     }
   }
 
+  /// One round of the data channel, shared by the push exchange and the
+  /// pull share swap: ship one batch per peer, account the wire bytes (per
+  /// peer into the RankIo totals and into this superstep's bytes_sent /
+  /// bytes_received), and hand each received batch to `on_batch`. Returns
+  /// false when a peer is down (RunResult filled via handle_peer_down).
+  template <typename OnBatch>
+  bool exchange_batches(std::vector<Batch> outgoing, int superstep,
+                        RunResult& res, OnBatch&& on_batch) {
+    constexpr std::uint64_t kEnvelope = sizeof(pipeline::Envelope<Msg>);
+    for (int r = 0; r < nranks_; ++r) {
+      const std::uint64_t b =
+          outgoing[static_cast<std::size_t>(r)].size() * kEnvelope;
+      tstats_[0].bytes_sent += b;
+      bytes_to_[static_cast<std::size_t>(r)] += b;
+    }
+    auto ex = peer_->data->exchange_for(rank(), std::move(outgoing),
+                                        exchange_deadline());
+    if (ex.status != comm::ExchangeStatus::kOk) {
+      handle_peer_down(ex.status, ex.fault, superstep, res);
+      return false;
+    }
+    for (int src = 0; src < nranks_; ++src) {
+      if (src == rank()) continue;
+      Batch& in = ex.values[static_cast<std::size_t>(src)];
+      const std::uint64_t b = in.size() * kEnvelope;
+      tstats_[0].bytes_received += b;
+      bytes_from_[static_cast<std::size_t>(src)] += b;
+      on_batch(in);
+    }
+    return true;
+  }
+
   /// Returns false when a peer is down (RunResult filled via
   /// handle_peer_down); true on a completed exchange.
   bool exchange_messages(int superstep, RunResult& res) {
@@ -1186,25 +1319,8 @@ class DeviceEngine {
         }
       }
     });
-    for (int r = 0; r < nranks_; ++r) {
-      const std::uint64_t b =
-          outgoing[static_cast<std::size_t>(r)].size() *
-          sizeof(pipeline::Envelope<Msg>);
-      tstats_[0].bytes_sent += b;
-      bytes_to_[static_cast<std::size_t>(r)] += b;
-    }
-
-    auto ex = peer_->data->exchange_for(rank(), std::move(outgoing),
-                                        exchange_deadline());
-    if (ex.status != comm::ExchangeStatus::kOk) {
-      handle_peer_down(ex.status, ex.fault, superstep, res);
-      return false;
-    }
-    for (int src = 0; src < nranks_; ++src) {
-      if (src == rank()) continue;
-      insert_incoming(ex.values[static_cast<std::size_t>(src)], src);
-    }
-    return true;
+    return exchange_batches(std::move(outgoing), superstep, res,
+                            [this](Batch& in) { insert_incoming(in); });
   }
 
   /// Insert one source rank's batch into the local CSB (or the OMP
@@ -1213,12 +1329,7 @@ class DeviceEngine {
   /// sequentially, folding in arrival order, which reproduces the sender's
   /// combine exactly — so a combined and an uncombined run insert identical
   /// message sets and differ only in wire bytes / received-message counts.
-  void insert_incoming(Batch& incoming, int src) {
-    const std::uint64_t b =
-        static_cast<std::uint64_t>(incoming.size()) *
-        sizeof(pipeline::Envelope<Msg>);
-    tstats_[0].bytes_received += b;
-    bytes_from_[static_cast<std::size_t>(src)] += b;
+  void insert_incoming(Batch& incoming) {
     tstats_[0].msgs_received += incoming.size();
     if (!combine_enabled_ && combiner_kind<Program>() != CombinerKind::kNone)
       precombine(incoming);
@@ -1484,16 +1595,19 @@ class DeviceEngine {
   bool superstep_sparse_ = false;
 
   // Direction-optimizing pull state (engaged only when pull_ready_): the
-  // transposed local graph, the word-packed frontier bitmap rebuilt from
-  // active_ each pull superstep (not for all-active programs), the
-  // per-source pull_source operands (programs that declare one), and
-  // per-vertex result slots written owner-thread-only by the pull kernel
-  // and drained by update()'s pull branch. The policy/estimate pair drives
-  // the kAuto decision.
+  // in-edges of the owned vertices (sources as global ids), the word-packed
+  // frontier bitmap rebuilt from active_ each pull superstep (not for
+  // all-active programs), the pull_source operands indexed by global id
+  // (programs that declare one; a rank with peers fills the remote entries
+  // its gathers read from the share swap, whose per-peer send lists are
+  // boundary_), and per-vertex result slots written owner-thread-only by
+  // the pull kernel and drained by update()'s pull branch. The
+  // policy/estimate pair drives the kAuto decision.
   bool pull_ready_ = false;
   std::optional<Transpose> in_edges_;
   simd::DenseBitset pull_frontier_;
   std::vector<Value> pull_src_;
+  std::vector<std::vector<vid_t>> boundary_;
   std::vector<Msg> pull_acc_;
   std::vector<std::uint8_t> pull_has_;
   DirectionPolicy dir_policy_;

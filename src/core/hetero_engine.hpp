@@ -150,7 +150,7 @@ class ClusterEngine {
       engines_.push_back(std::make_unique<Engine>(
           std::move(parts[static_cast<std::size_t>(r)]), prog_,
           cfgs_[static_cast<std::size_t>(r)],
-          typename Engine::PeerLink{r, &data_, &control_}));
+          typename Engine::PeerLink{r, &data_, &control_, graph_}));
   }
 
   /// Scheme-deriving constructor: no explicit owner map — vertices are
@@ -358,7 +358,7 @@ class ClusterEngine {
     engines_[static_cast<std::size_t>(r)] = std::make_unique<Engine>(
         std::move(parts[static_cast<std::size_t>(r)]), prog_,
         cfgs_[static_cast<std::size_t>(r)],
-        typename Engine::PeerLink{r, &data_, &control_});
+        typename Engine::PeerLink{r, &data_, &control_, graph_});
   }
 
   void rebuild_all_engines() {
@@ -367,7 +367,7 @@ class ClusterEngine {
       engines_[static_cast<std::size_t>(r)] = std::make_unique<Engine>(
           std::move(parts[static_cast<std::size_t>(r)]), prog_,
           cfgs_[static_cast<std::size_t>(r)],
-          typename Engine::PeerLink{r, &data_, &control_});
+          typename Engine::PeerLink{r, &data_, &control_, graph_});
   }
 
   /// Ladder rung 1: respawn the failed rank's engine, restore every rank
@@ -483,7 +483,7 @@ class ClusterEngine {
         survivors.push_back(std::make_unique<Engine>(
             std::move(parts[static_cast<std::size_t>(r)]),  prog_,
             scfgs[static_cast<std::size_t>(r)],
-            typename Engine::PeerLink{r, &data2, &control2}));
+            typename Engine::PeerLink{r, &data2, &control2, graph_}));
       if (have_state) {
         for (auto& e : survivors) {
           const auto& lg = e->local_graph();

@@ -118,10 +118,10 @@ template <typename P>
 /// ordinary update_vertex. BFS (first-parent-wins at equal level), SSSP and
 /// CC (exact min-combine) qualify in any scan order.
 ///
-/// kAllActive programs pull every superstep on a single device, with no
-/// frontier bitmap: the scalar fold visits every in-neighbor of u in
-/// ascending source order, the order Csr::reversed() lists them and the
-/// order reference_run delivers pushed messages. A program whose combine is
+/// kAllActive programs pull every superstep, with no frontier bitmap: the
+/// scalar fold visits every in-neighbor of u in ascending global source
+/// order, the order Csr::reversed() lists them and the order reference_run
+/// delivers pushed messages, at any rank count. A program whose combine is
 /// order-sensitive (a float sum such as PageRank) therefore qualifies too —
 /// its pulled result is the sequential one bit for bit — as long as it
 /// supplies no pull_message_vec, whose lane-parallel fold reorders the sum.
@@ -161,6 +161,19 @@ concept HasPullSource = requires(const P p,
   { p.pull_source(v, out_degree) } ->
       std::same_as<typename P::vertex_value_t>;
 };
+
+/// Whether a rank with peers can pull P: an all-active program whose
+/// pull_source operand is a message, so each superstep the ranks can swap
+/// the operands their gathers read as ordinary message envelopes.
+/// Traversals would also need the remote frontier bits; they keep pushing.
+template <typename P>
+[[nodiscard]] consteval bool pulls_with_peers() noexcept {
+  if constexpr (is_pullable<P>() && HasPullSource<P>)
+    return P::kAllActive && std::is_same_v<typename P::vertex_value_t,
+                                           typename P::message_t>;
+  else
+    return false;
+}
 
 /// Optional SIMD pull operator: lane-parallel pull_message over a vector of
 /// gathered in-neighbor values V and a vector of edge weights VF. Only

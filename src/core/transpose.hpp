@@ -1,12 +1,15 @@
 // Parallel CSR transpose for the engine's pull path.
 //
-// Produces exactly the arrays of Csr::reversed() — the same offsets, the
-// same in-neighbor order (ascending source id, parallel edges in out-edge
-// order) and the same edge values — using every thread of a ThreadTeam. The
-// destination range is split into one contiguous slice per thread, balanced
-// by in-edge count; each thread scans all out-edges in source order and
-// fills only the slots of its own slice, so no thread needs private count
-// arrays and the output order is the sequential one by construction.
+// Over the whole graph it produces exactly the arrays of Csr::reversed() —
+// the same offsets, the same in-neighbor order (ascending source id,
+// parallel edges in out-edge order) and the same edge values — using every
+// thread of a ThreadTeam. A rank of a cluster builds only the rows of the
+// vertices it owns: a row map sends each destination to its local row or
+// drops it, and the sources stay global ids in the same ascending order.
+// The row range is split into one contiguous slice per thread, balanced by
+// in-edge count; each thread scans all out-edges in source order and fills
+// only the slots of its own slice, so no thread needs private count arrays
+// and the output order is the sequential one by construction.
 //
 // The arrays are allocated uninitialized and first written by the threads
 // that fill them: a zero-filled std::vector would spend a serial pass (and
@@ -22,8 +25,9 @@
 
 namespace phigraph::core {
 
-/// In-edges of every vertex: sources(v) are v's in-neighbors in ascending
-/// id order, edge_values() the values of those edges (empty if unweighted).
+/// In-edges of every row vertex: sources(v) are v's in-neighbors in
+/// ascending id order, edge_values() the values of those edges (empty if
+/// unweighted).
 class Transpose {
  public:
   [[nodiscard]] vid_t num_vertices() const noexcept { return n_; }
@@ -44,7 +48,8 @@ class Transpose {
  private:
   friend Transpose parallel_transpose(const graph::Csr&,
                                       std::span<const vid_t>,
-                                      sched::ThreadTeam&);
+                                      sched::ThreadTeam&,
+                                      std::span<const vid_t>);
 
   vid_t n_ = 0;
   eid_t m_ = 0;
@@ -54,9 +59,14 @@ class Transpose {
 };
 
 /// The transpose of `g` (targets in g's own vertex space), built on `team`.
-/// `in_degree[v]` must be v's in-degree in g; it sizes the output offsets.
+/// With an empty `row_of` every vertex of g is a row. Otherwise the edge
+/// (u, v) lands in row row_of[v], or nowhere when row_of[v] is
+/// kInvalidVertex; `row_of` then holds one entry per vertex of g.
+/// `in_degree[r]` must be the number of edges landing in row r; it sizes the
+/// output offsets and gives the row count.
 [[nodiscard]] Transpose parallel_transpose(const graph::Csr& g,
                                            std::span<const vid_t> in_degree,
-                                           sched::ThreadTeam& team);
+                                           sched::ThreadTeam& team,
+                                           std::span<const vid_t> row_of = {});
 
 }  // namespace phigraph::core

@@ -49,69 +49,6 @@ struct MoverChoice {
   return best;
 }
 
-struct DirectionChoice {
-  double alpha = 0.0;  // 0 encodes "never pull" (the all-push baseline won)
-  double beta = 0.0;
-  double modeled_seconds = 0;
-  double push_only_seconds = 0;
-};
-
-/// Picks the traversal-direction thresholds (core/direction.hpp) from one
-/// forced-push probe run. For every candidate (alpha, beta) pair the probe's
-/// frontier trace is replayed through the hysteretic DirectionPolicy
-/// (sim::predict_direction_mix) and the resulting mixed schedule is priced
-/// through the model: push supersteps keep their measured counters, pull
-/// supersteps are re-priced from synthetic ones — the in-edge mass a pull
-/// kernel scans is at most the still-unexplored edges plus the frontier's
-/// own out-edge mass, and all push-side work (messages, columns, rows,
-/// queues) vanishes. The result is never modeled slower than all-push:
-/// alpha = beta = 0 keeps the push→pull trigger disabled and is the default
-/// winner.
-[[nodiscard]] inline DirectionChoice tune_direction_thresholds(
-    const metrics::RunTrace& push_trace, vid_t num_vertices,
-    std::uint64_t num_edges, const sim::DeviceSpec& dev,
-    const sim::ExecProfile& profile, std::span<const double> alphas = {},
-    std::span<const double> betas = {}) {
-  static constexpr double kDefaultAlphas[] = {2, 6, 14, 24, 48};
-  static constexpr double kDefaultBetas[] = {8, 16, 24, 48, 96};
-  if (alphas.empty()) alphas = kDefaultAlphas;
-  if (betas.empty()) betas = kDefaultBetas;
-
-  const double push_only = sim::model_run(push_trace, dev, profile).execution();
-  DirectionChoice best{0.0, 0.0, push_only, push_only};
-  for (const double a : alphas)
-    for (const double b : betas) {
-      const auto mix =
-          sim::predict_direction_mix(push_trace, num_vertices, num_edges, a, b);
-      if (mix.pull_supersteps == 0) continue;  // indistinguishable from push
-      double sec = 0;
-      for (std::size_t s = 0; s < push_trace.size(); ++s) {
-        metrics::SuperstepCounters c = push_trace[s];
-        if (mix.directions[s] == core::Direction::kPull) {
-          c.pull_supersteps = 1;
-          c.push_supersteps = 0;
-          c.pull_edges_scanned = std::min(
-              num_edges, mix.unexplored_edges[s] + c.edges_scanned);
-          c.edges_scanned = 0;
-          c.msgs_local = 0;
-          c.columns_allocated = 0;
-          c.column_conflicts = 0;
-          c.lock_acquisitions = 0;
-          c.queue_pushes = 0;
-          c.vector_rows = 0;
-          c.padded_cells = 0;
-          c.scalar_msgs = 0;
-          c.dense_supersteps = 0;
-          c.sparse_supersteps = 0;
-          c.groups_dirty = 0;
-        }
-        sec += sim::model_superstep(c, dev, profile).execution();
-      }
-      if (sec < best.modeled_seconds) best = {a, b, sec, push_only};
-    }
-  return best;
-}
-
 struct RatioChoice {
   partition::RankWeights weights;
   double modeled_seconds = 0;  // execution + communication

@@ -48,6 +48,9 @@ std::vector<EngineConfig> cluster_cfgs(int nranks, bool combine, int threads,
   EngineConfig cfg;
   cfg.mode = ExecMode::kLocking;
   cfg.threads = threads;
+  // Combining happens in the push path's remote buffer; pinned to push,
+  // PageRank's ranks ship combined messages instead of pulled shares.
+  cfg.direction_mode = core::DirectionMode::kForcePush;
   cfg.combine_remote = combine;
   if (max_supersteps > 0) cfg.max_supersteps = max_supersteps;
   return std::vector<EngineConfig>(static_cast<std::size_t>(nranks), cfg);

@@ -2,14 +2,15 @@
 // bit-for-bit against the sequential reference across the full configuration
 // matrix {locking, pipelining} x {one-to-one, dynamic columns} x {dense,
 // sparse frontier} x {single-device, heterogeneous} x {auto, forced-push,
-// forced-pull traversal direction; single-device only — split partitions
-// always push} on generated graphs of five shapes (uniform, power-law,
+// forced-pull traversal direction; single-device only — traversals with a
+// peer always push} on generated graphs of five shapes (uniform, power-law,
 // disconnected, self-loops/parallel edges, edgeless). The min-combine
 // applications (BFS, SSSP, CC) are order-independent, so every configuration
-// must reproduce the reference exactly; PageRank's float sums are
-// order-dependent and is therefore pinned to a single worker, where the
-// engine's insertion and reduction order matches the reference's and the
-// comparison is still bit-exact.
+// must reproduce the reference exactly. PageRank's float sums are
+// order-dependent: pulled (at any rank or thread count) they fold in the
+// reference's order, and pushed they are pinned to a single worker, where the
+// engine's insertion and reduction order matches the reference's; both
+// comparisons are bit-exact.
 //
 // The same battery checks the bookkeeping invariants the metrics layer
 // promises: message-counter conservation (satellite: every generated message
@@ -21,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -169,8 +171,9 @@ std::vector<Cell> full_matrix() {
              {core::DirectionMode::kAuto, core::DirectionMode::kForcePush,
               core::DirectionMode::kForcePull})
           for (bool hetero : {false, true}) {
-            // Split partitions always push (no local in-neighbor values);
-            // forced directions only distinguish single-device cells.
+            // Traversals with a peer always push (a gather would need
+            // remote frontier bits); forced directions only distinguish
+            // single-device cells.
             if (hetero && dir != core::DirectionMode::kAuto) continue;
             cells.push_back({mode, col, density, hetero, dir});
           }
@@ -268,9 +271,9 @@ TEST(DifferentialBattery, MinCombineAppsBitExactAcrossMatrix) {
 // Pushed through the CSB with one worker and one mover, the engine inserts
 // messages in ascending source order — exactly the reference's combine
 // order — and the SIMD row reduction degenerates to the same left fold, so
-// the comparison is still bit-exact. Heterogeneous runs interleave local and
-// remote messages and are covered (approximately) by engine_test's
-// EXPECT_NEAR checks instead.
+// the comparison is still bit-exact. Multi-rank runs pull and are compared
+// exactly by RankMatrixPageRankBitExactAcrossRanksAndThreads, which also
+// keeps one pushed cluster cell (deterministic and near the reference).
 TEST(DifferentialBattery, PageRankBitExactSingleWorker) {
   phigraph::testing::Watchdog wd(std::chrono::seconds(PG_TEST_SANITIZED ? 900 : 300));
   for (int round = 0; round < kRounds; ++round) {
@@ -344,7 +347,9 @@ TEST(DifferentialBattery, PageRankPullBitExactAnyThreadsAndMode) {
 // offsets, in-neighbor order and edge values — on every battery family,
 // weighted and unweighted, at 1–4 threads. The family sizes are random, so
 // most rounds also leave |V| indivisible by the thread count; the extra
-// fixed sizes make sure of it, and cover more threads than vertices.
+// fixed sizes make sure of it, and cover more threads than vertices. A
+// rank's slice (the rows of the vertices one rank of a 3-way round-robin
+// split owns) must hold reversed()'s rows of those vertices, byte for byte.
 TEST(DifferentialTranspose, ParallelTransposeMatchesReversedBytes) {
   phigraph::testing::Watchdog wd(
       std::chrono::seconds(PG_TEST_SANITIZED ? 900 : 300));
@@ -372,6 +377,8 @@ TEST(DifferentialTranspose, ParallelTransposeMatchesReversedBytes) {
   for (const auto& [name, g] : graphs) {
     const graph::Csr want = g.reversed();
     const auto in_degree = g.in_degrees();
+    const auto parts = core::LocalGraph::split_n(
+        g, partition::round_robin_partition_k(g, {1, 1, 1}), 3);
     for (int threads = 1; threads <= 4; ++threads) {
       sched::ThreadTeam team(threads);
       const core::Transpose got = core::parallel_transpose(g, in_degree, team);
@@ -382,6 +389,34 @@ TEST(DifferentialTranspose, ParallelTransposeMatchesReversedBytes) {
       EXPECT_TRUE(bytes_equal(got.offsets(), want.offsets())) << what;
       EXPECT_TRUE(bytes_equal(got.sources(), want.targets())) << what;
       EXPECT_TRUE(bytes_equal(got.edge_values(), want.edge_values())) << what;
+
+      for (const auto& lg : parts) {
+        std::vector<vid_t> row_of(g.num_vertices(), kInvalidVertex);
+        for (vid_t u = 0; u < lg.num_local_vertices(); ++u)
+          row_of[lg.global_id[u]] = u;
+        const core::Transpose slice =
+            core::parallel_transpose(g, lg.in_degree, team, row_of);
+        const std::string swhat = what + " rank " + std::to_string(lg.rank);
+        ASSERT_EQ(slice.num_vertices(), lg.num_local_vertices()) << swhat;
+        ASSERT_EQ(slice.has_edge_values(), want.has_edge_values()) << swhat;
+        for (vid_t u = 0; u < lg.num_local_vertices(); ++u) {
+          const vid_t v = lg.global_id[u];
+          const auto lo = slice.offsets()[u];
+          const auto len = slice.offsets()[u + 1] - lo;
+          const auto wlo = want.offsets()[v];
+          ASSERT_EQ(len, want.offsets()[v + 1] - wlo) << swhat << " row " << u;
+          ASSERT_TRUE(
+              bytes_equal(slice.sources().subspan(lo, len),
+                          std::span(want.targets()).subspan(wlo, len)))
+              << swhat << " row " << u;
+          if (want.has_edge_values()) {
+            ASSERT_TRUE(
+                bytes_equal(slice.edge_values().subspan(lo, len),
+                            std::span(want.edge_values()).subspan(wlo, len)))
+                << swhat << " row " << u;
+          }
+        }
+      }
     }
   }
 }
@@ -564,41 +599,71 @@ TEST(DifferentialBattery, PartitionSchemeMatrixBitExactAcrossRanks) {
         }
 }
 
-// PageRank's float sums depend on fold order, and a different rank count is
-// a different fold order — bit-equality against the reference only holds for
-// the degenerate 1-rank/1-worker case, which is asserted exactly. What every
-// rank count must still deliver: determinism (the same cluster twice is
-// bit-identical) and closeness to the reference sums.
-TEST(DifferentialBattery, RankMatrixPageRankDeterministicAndNearReference) {
+// Multi-rank PageRank pulls: every rank folds each owned vertex's
+// in-neighbor shares in ascending global source order, the reference's
+// order, so every rank count and thread count reproduces the reference bit
+// for bit. The self-loop family adds parallel edges and self-shares.
+TEST(DifferentialBattery, RankMatrixPageRankBitExactAcrossRanksAndThreads) {
   phigraph::testing::Watchdog wd(
       std::chrono::seconds(PG_TEST_SANITIZED ? 900 : 300));
-  const auto g = make_graph(Family::kPowerLaw, 0x9a9e);
+  constexpr int kSteps = 8;
   const apps::PageRank prog;
-  const auto ref = apps::reference_run(g, prog, /*max_supersteps=*/8);
-  for (int nranks : kRankCounts) {
-    const Cell c{ExecMode::kLocking, ColumnMode::kDynamic, 0.0, true};
-    auto cfgs = cluster_cfgs(c, nranks, 0x51u);
-    for (auto& cfg : cfgs) {
-      cfg.threads = 1;  // one worker per rank: deterministic fold order
-      cfg.movers = 1;
-      cfg.max_supersteps = 8;
+  for (Family fam : {Family::kPowerLaw, Family::kSelfLoops}) {
+    const auto g = make_graph(fam, 0x9a9e);
+    const auto ref = apps::reference_run(g, prog, kSteps);
+    for (int nranks : kRankCounts) {
+      const auto owner = partition::round_robin_partition_k(
+          g, partition::RankWeights(static_cast<std::size_t>(nranks), 1));
+      for (int threads : {1, 2, 4}) {
+        const Cell c{ExecMode::kLocking, ColumnMode::kDynamic, 0.0, true};
+        auto cfgs = cluster_cfgs(c, nranks, 0x51u);
+        for (auto& cfg : cfgs) {
+          cfg.threads = threads;
+          cfg.max_supersteps = kSteps;
+        }
+        core::ClusterEngine<apps::PageRank> ce(g, owner, prog, cfgs);
+        const auto res = ce.run();
+        const std::string what = std::string(family_name(fam)) + " ranks=" +
+                                 std::to_string(nranks) +
+                                 " threads=" + std::to_string(threads);
+        ASSERT_TRUE(res.completed) << what;
+        std::uint64_t pulls = 0;
+        for (const auto& r : res.ranks)
+          pulls += metrics::totals(r.trace).pull_supersteps;
+        EXPECT_EQ(pulls, static_cast<std::uint64_t>(kSteps * nranks)) << what;
+        for (vid_t v = 0; v < g.num_vertices(); ++v)
+          ASSERT_EQ(res.global_values[v], ref[v]) << what << " vertex " << v;
+      }
     }
-    const auto owner = partition::round_robin_partition_k(
-        g, partition::RankWeights(static_cast<std::size_t>(nranks), 1));
-    core::ClusterEngine<apps::PageRank> a(g, owner, prog, cfgs);
-    core::ClusterEngine<apps::PageRank> b(g, owner, prog, cfgs);
-    const auto ra = a.run();
-    const auto rb = b.run();
-    ASSERT_TRUE(ra.completed && rb.completed) << "ranks=" << nranks;
-    for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(ra.global_values[v], rb.global_values[v])
-          << "ranks=" << nranks << " vertex " << v << ": rerun diverged";
-      if (nranks == 1)
-        ASSERT_EQ(ra.global_values[v], ref[v]) << "ranks=1 vertex " << v;
-      else
-        EXPECT_NEAR(ra.global_values[v], ref[v], 1e-3f * (1.0f + ref[v]))
-            << "ranks=" << nranks << " vertex " << v;
-    }
+  }
+
+  // The push path sums remote messages in the order they arrive, which is
+  // a different fold per rank count: one worker per rank keeps it
+  // deterministic (the same cluster twice is bit-identical) and near the
+  // reference, not equal to it.
+  const auto g = make_graph(Family::kPowerLaw, 0x9a9e);
+  const auto ref = apps::reference_run(g, prog, kSteps);
+  const Cell c{ExecMode::kLocking, ColumnMode::kDynamic, 0.0, true,
+               core::DirectionMode::kForcePush};
+  auto cfgs = cluster_cfgs(c, 4, 0x51u);
+  for (auto& cfg : cfgs) {
+    cfg.threads = 1;
+    cfg.movers = 1;
+    cfg.max_supersteps = kSteps;
+  }
+  const auto owner = partition::round_robin_partition_k(
+      g, partition::RankWeights(4, 1));
+  core::ClusterEngine<apps::PageRank> a(g, owner, prog, cfgs);
+  core::ClusterEngine<apps::PageRank> b(g, owner, prog, cfgs);
+  const auto ra = a.run();
+  const auto rb = b.run();
+  ASSERT_TRUE(ra.completed && rb.completed);
+  EXPECT_EQ(metrics::totals(ra.ranks[0].trace).pull_supersteps, 0u);
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(ra.global_values[v], rb.global_values[v])
+        << "pushed ranks=4 vertex " << v << ": rerun diverged";
+    EXPECT_NEAR(ra.global_values[v], ref[v], 1e-3f * (1.0f + ref[v]))
+        << "pushed ranks=4 vertex " << v;
   }
 }
 

@@ -1,7 +1,7 @@
 // Direction-optimizing traversal: the alpha/beta switch rule, the pull
 // kernel's counter contract, the mode-independence of the direction
-// schedule, and the sim/tune layers that predict and learn the thresholds
-// from a forced-push probe trace.
+// schedule, and the sim layer that predicts the schedule from a forced-push
+// probe trace.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,9 +12,7 @@
 #include "src/core/direction.hpp"
 #include "src/core/hetero_engine.hpp"
 #include "src/gen/generators.hpp"
-#include "src/sim/device_spec.hpp"
 #include "src/sim/model.hpp"
-#include "src/tune/autotune.hpp"
 
 namespace {
 
@@ -170,37 +168,6 @@ TEST(Direction, PredictedMixMatchesAutoEngine) {
   EXPECT_EQ(mix.push_supersteps, t.push_supersteps);
   EXPECT_EQ(mix.flips, t.direction_flips);
   EXPECT_GT(mix.pull_supersteps, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Threshold tuning: replaying the probe through the model must never pick
-// thresholds modeled slower than the all-push baseline, and on a power-law
-// BFS the MIC profile should find a mixed schedule that is strictly cheaper.
-// ---------------------------------------------------------------------------
-
-TEST(Direction, TunedThresholdsNeverWorseThanPush) {
-  const auto g = social_graph();
-  const auto probe = core::run_single(
-      g, apps::Bfs{0}, cfg(ExecMode::kLocking, DirectionMode::kForcePush));
-
-  sim::ExecProfile prof;
-  prof.mode = ExecMode::kLocking;
-  prof.threads = 61;
-  prof.lanes = 16;
-  prof.num_vertices = g.num_vertices();
-  const auto dev = sim::xeon_phi_se10p();
-
-  const auto choice = tune::tune_direction_thresholds(
-      probe.run.trace, g.num_vertices(), g.num_edges(), dev, prof);
-  EXPECT_GT(choice.push_only_seconds, 0.0);
-  EXPECT_LE(choice.modeled_seconds, choice.push_only_seconds);
-  if (choice.alpha > 0.0) {
-    // The winning thresholds must actually produce pull supersteps.
-    const auto mix =
-        sim::predict_direction_mix(probe.run.trace, g.num_vertices(),
-                                   g.num_edges(), choice.alpha, choice.beta);
-    EXPECT_GT(mix.pull_supersteps, 0u);
-  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "src/gen/generators.hpp"
 #include "src/graph/io.hpp"
 #include "src/partition/partition.hpp"
+#include "src/pipeline/message_pipeline.hpp"
 
 namespace {
 
@@ -150,6 +151,43 @@ TEST(EngineCounters, PullOnlyEngineAllocatesNoCsbAndScansEveryInEdge) {
   EXPECT_NE(push.csb(), nullptr);
 }
 
+// Ranks with peers pull PageRank too. Neither rank allocates a CSB or
+// pushes a message; together they gather over every in-edge once per
+// superstep, and the wire carries exactly one share envelope per (owned
+// vertex, peer holding one of its out-neighbors) per superstep.
+TEST(EngineCounters, ClusterPullShipsOneSharePerBoundaryVertex) {
+  const auto g = gen::pokec_like(2000, 24000, 14);
+  const auto owner = partition::round_robin_partition_k(g, {1, 1});
+  auto lock = cfg(ExecMode::kLocking, 16);
+  auto pipe = cfg(ExecMode::kPipelining, 64);
+  lock.max_supersteps = pipe.max_supersteps = 4;
+  core::ClusterEngine<apps::PageRank> ce(g, owner, apps::PageRank{},
+                                         {lock, pipe});
+  EXPECT_EQ(ce.engine(0).csb(), nullptr);
+  EXPECT_EQ(ce.engine(1).csb(), nullptr);
+  const auto res = ce.run();
+  ASSERT_TRUE(res.completed);
+
+  std::uint64_t boundary = 0;  // two ranks: one peer per vertex at most
+  for (vid_t u = 0; u < g.num_vertices(); ++u)
+    for (const vid_t v : g.out_neighbors(u))
+      if (owner[v] != owner[u]) {
+        ++boundary;
+        break;
+      }
+  metrics::SuperstepCounters t;
+  for (const auto& r : res.ranks) t += metrics::totals(r.trace);
+  EXPECT_EQ(t.pull_supersteps, 2u * 4u);
+  EXPECT_EQ(t.msgs_local, 0u);
+  EXPECT_EQ(t.msgs_remote, 0u);
+  EXPECT_EQ(t.msgs_received, 0u);
+  EXPECT_EQ(t.pull_edges_scanned, g.num_edges() * 4);
+  const std::uint64_t bytes =
+      boundary * 4 * sizeof(pipeline::Envelope<apps::PageRank::message_t>);
+  EXPECT_EQ(t.bytes_sent, bytes);
+  EXPECT_EQ(t.bytes_received, bytes);
+}
+
 TEST(EngineCounters, TopoSortMessageTotalEqualsEdges) {
   // Every edge delivers exactly one "decrement" message over the whole run.
   const auto g = gen::dag_like(600, 40000, 15, 12);
@@ -161,8 +199,8 @@ TEST(EngineCounters, HeteroSplitsMessagesByOwnership) {
   const auto g = weighted_graph();
   const apps::Sssp prog(0);
   // Single-device totals for comparison — push pinned, because the split
-  // run below always pushes (pull needs local in-neighbor values) and
-  // msgs_local counts pushed messages only.
+  // run below always pushes (a traversal with a peer does) and msgs_local
+  // counts pushed messages only.
   auto solo_cfg = cfg(ExecMode::kLocking);
   solo_cfg.direction_mode = core::DirectionMode::kForcePush;
   const auto solo = core::run_single(g, prog, solo_cfg);

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <type_traits>
 
 #include "src/apps/bfs.hpp"
 #include "src/apps/pagerank.hpp"
@@ -24,11 +26,16 @@ using namespace phigraph;
 using core::EngineConfig;
 using core::ExecMode;
 
+// gtest names each instance after a byte dump of its parameter, so the tail
+// after `use_simd` is an explicit zeroed member: left as compiler padding it
+// held stack garbage and the test names changed from run to run.
 struct ModeParam {
   ExecMode mode;
   int simd_bytes;
   bool use_simd;
+  std::uint8_t zero[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<ModeParam>);
 
 std::string mode_name(const ::testing::TestParamInfo<ModeParam>& info) {
   const auto& p = info.param;

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -245,10 +246,13 @@ TEST(FaultInjection, SkippedWithoutFaultBuild) {
 constexpr int kSupersteps = 8;     // PageRank runs exactly this many
 constexpr int kCkptInterval = 3;   // checkpoints at resume supersteps 3, 6
 
-core::EngineConfig fault_cfg(int simd_bytes) {
+core::EngineConfig fault_cfg(int simd_bytes, core::DirectionMode dir) {
   core::EngineConfig c;
   // Pipelining on BOTH ranks so pipeline.mover_insert can fire on either.
   c.mode = core::ExecMode::kPipelining;
+  // The engine.process and pipeline.mover_insert sites exist only on the
+  // CSB path, which a pulling PageRank rank never takes.
+  c.direction_mode = dir;
   c.simd_bytes = simd_bytes;
   c.threads = 3;
   c.movers = 2;
@@ -262,10 +266,14 @@ core::EngineConfig fault_cfg(int simd_bytes) {
 /// Runs hetero PageRank with `plan` armed and asserts the fault-tolerance
 /// contract: no deadlock (watchdog), no std::terminate, CPU-only failover
 /// completes with correct values and fewer than kCkptInterval lost
-/// supersteps. When the plan happens not to fire (a seeded plan can land on
-/// a site the schedule never reaches), the run must simply be correct.
+/// supersteps; a fired plan is reported by the rank, and in the BSP phase,
+/// it fired in. When the plan happens not to fire (a seeded plan can land
+/// on a site the schedule never reaches), the run must simply be correct.
+/// `dir` picks the CSB push path (the default) or the pull path with its
+/// per-superstep share swap.
 void run_injected(const FaultPlan& plan, bool expect_fire,
-                  int expected_rank = -1) {
+                  int expected_rank = -1, const char* expected_phase = nullptr,
+                  core::DirectionMode dir = core::DirectionMode::kForcePush) {
   const auto g = gen::pokec_like(/*n=*/1000, /*m=*/8000, /*seed=*/17);
   const apps::PageRank prog;
   fault::ScopedPlan armed(plan);
@@ -273,7 +281,8 @@ void run_injected(const FaultPlan& plan, bool expect_fire,
 
   core::ClusterEngine<apps::PageRank> ce(
       g, partition::round_robin_partition_k(g, {1, 1}), prog,
-      {fault_cfg(simd::kCpuSimdBytes), fault_cfg(simd::kMicSimdBytes)});
+      {fault_cfg(simd::kCpuSimdBytes, dir),
+       fault_cfg(simd::kMicSimdBytes, dir)});
   const auto res = ce.run();
 
   ASSERT_TRUE(res.completed) << res.fault.to_string();
@@ -281,6 +290,7 @@ void run_injected(const FaultPlan& plan, bool expect_fire,
     EXPECT_EQ(res.failover.failed_over, 1u) << "plan did not fire";
     EXPECT_TRUE(res.fault.valid());
     if (expected_rank >= 0) EXPECT_EQ(res.fault.rank, expected_rank);
+    if (expected_phase) EXPECT_EQ(res.fault.phase, expected_phase);
     EXPECT_LT(res.failover.lost_supersteps,
               static_cast<std::uint64_t>(kCkptInterval));
     EXPECT_GE(res.failover.recovery_ms, 0.0);
@@ -296,10 +306,21 @@ void run_injected(const FaultPlan& plan, bool expect_fire,
         << "vertex " << v;
 }
 
+/// One injection: the point to fire and the BSP phase its report must name.
 struct MatrixCase {
   const char* name;
   FaultSpec spec;
+  const char* phase;
 };
+
+// gtest prints a parameter into the registered test name; the default byte
+// dump of MatrixCase would carry the address of `name`, which changes from
+// run to run.
+void PrintTo(const MatrixCase& c, std::ostream* os) { *os << c.name; }
+
+std::string case_name(const ::testing::TestParamInfo<MatrixCase>& pi) {
+  return pi.param.name;
+}
 
 class FaultMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
@@ -307,34 +328,64 @@ class FaultMatrix : public ::testing::TestWithParam<MatrixCase> {};
 // supersteps. checkpoint.write only executes where (s + 1) % interval == 0,
 // so its cases sit on those boundaries.
 const MatrixCase kMatrix[] = {
-    {"ExchangeDeposit_Cpu_First", {Point::kExchangeDeposit, 0, 0, 1}},
-    {"ExchangeDeposit_Mic_Last", {Point::kExchangeDeposit, 1, 7, 1}},
-    {"Generate_Cpu_Middle", {Point::kEngineGenerate, 0, 4, 1}},
-    {"Generate_Mic_First", {Point::kEngineGenerate, 1, 0, 1}},
-    {"Process_Cpu_Last", {Point::kEngineProcess, 0, 7, 1}},
-    {"Process_Mic_Middle", {Point::kEngineProcess, 1, 4, 1}},
-    {"Update_Cpu_First", {Point::kEngineUpdate, 0, 0, 1}},
-    {"Update_Mic_Last", {Point::kEngineUpdate, 1, 7, 1}},
-    {"MoverInsert_Cpu_Middle", {Point::kPipelineMoverInsert, 0, 4, 1}},
-    {"MoverInsert_Mic_Early", {Point::kPipelineMoverInsert, 1, 2, 1}},
-    {"CheckpointWrite_Cpu_Early", {Point::kCheckpointWrite, 0, 2, 1}},
-    {"CheckpointWrite_Mic_Late", {Point::kCheckpointWrite, 1, 5, 1}},
+    {"ExchangeDeposit_Cpu_First", {Point::kExchangeDeposit, 0, 0, 1},
+     "exchange"},
+    {"ExchangeDeposit_Mic_Last", {Point::kExchangeDeposit, 1, 7, 1},
+     "exchange"},
+    {"Generate_Cpu_Middle", {Point::kEngineGenerate, 0, 4, 1}, "generate"},
+    {"Generate_Mic_First", {Point::kEngineGenerate, 1, 0, 1}, "generate"},
+    {"Process_Cpu_Last", {Point::kEngineProcess, 0, 7, 1}, "process"},
+    {"Process_Mic_Middle", {Point::kEngineProcess, 1, 4, 1}, "process"},
+    {"Update_Cpu_First", {Point::kEngineUpdate, 0, 0, 1}, "update"},
+    {"Update_Mic_Last", {Point::kEngineUpdate, 1, 7, 1}, "update"},
+    {"MoverInsert_Cpu_Middle", {Point::kPipelineMoverInsert, 0, 4, 1},
+     "generate"},
+    {"MoverInsert_Mic_Early", {Point::kPipelineMoverInsert, 1, 2, 1},
+     "generate"},
+    {"CheckpointWrite_Cpu_Early", {Point::kCheckpointWrite, 0, 2, 1},
+     "checkpoint"},
+    {"CheckpointWrite_Mic_Late", {Point::kCheckpointWrite, 1, 5, 1},
+     "checkpoint"},
     // Occurrence > 1: the Nth reach fires, not the first.
-    {"Generate_Cpu_ThirdHit", {Point::kEngineGenerate, 0, 4, 3}},
+    {"Generate_Cpu_ThirdHit", {Point::kEngineGenerate, 0, 4, 3}, "generate"},
 };
 
 TEST_P(FaultMatrix, FailsOverWithoutDeadlockOrTerminate) {
   const auto& c = GetParam();
   FaultPlan plan;
   plan.arm(c.spec);
-  run_injected(plan, /*expect_fire=*/true, c.spec.rank);
+  run_injected(plan, /*expect_fire=*/true, c.spec.rank, c.phase);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllPoints, FaultMatrix, ::testing::ValuesIn(kMatrix),
-    [](const ::testing::TestParamInfo<MatrixCase>& pi) {
-      return std::string(pi.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(AllPoints, FaultMatrix, ::testing::ValuesIn(kMatrix),
+                         case_name);
+
+// The pull path's sites on both ranks: the share swap (exchange.deposit,
+// reported in the exchange phase although it runs inside generate), the
+// gather (engine.generate) and the update.
+class PulledFaultMatrix : public ::testing::TestWithParam<MatrixCase> {};
+
+const MatrixCase kPulledMatrix[] = {
+    {"ExchangeDeposit_Cpu_First", {Point::kExchangeDeposit, 0, 0, 1},
+     "exchange"},
+    {"ExchangeDeposit_Mic_Last", {Point::kExchangeDeposit, 1, 7, 1},
+     "exchange"},
+    {"Generate_Cpu_Middle", {Point::kEngineGenerate, 0, 4, 1}, "generate"},
+    {"Generate_Mic_First", {Point::kEngineGenerate, 1, 0, 1}, "generate"},
+    {"Update_Cpu_Last", {Point::kEngineUpdate, 0, 7, 1}, "update"},
+    {"Update_Mic_Middle", {Point::kEngineUpdate, 1, 4, 1}, "update"},
+};
+
+TEST_P(PulledFaultMatrix, FailsOverWithoutDeadlockOrTerminate) {
+  const auto& c = GetParam();
+  FaultPlan plan;
+  plan.arm(c.spec);
+  run_injected(plan, /*expect_fire=*/true, c.spec.rank, c.phase,
+               core::DirectionMode::kAuto);
+}
+
+INSTANTIATE_TEST_SUITE_P(PullPoints, PulledFaultMatrix,
+                         ::testing::ValuesIn(kPulledMatrix), case_name);
 
 // Seeded plans: the acceptance bar is ≥8 replayable schedules with zero
 // deadlocks and zero std::terminate, whether or not the drawn site fires.

@@ -165,13 +165,42 @@ std::string fig_slug(const std::string& figure) {
   return slug.empty() ? "bench" : slug;
 }
 
-void append_kv(std::string& out, const char* key, std::uint64_t v,
-               bool last = false) {
-  out += '"';
-  out += key;
-  out += "\": ";
+void append_value(std::string& out, std::uint64_t v) {
   out += std::to_string(v);
-  if (!last) out += ", ";
+}
+
+void append_value(std::string& out, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  out += buf;
+}
+
+void append_value(std::string& out, const std::vector<double>& v) {
+  out += '[';
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) out += ", ";
+    append_value(out, v[i]);
+  }
+  out += ']';
+}
+
+/// Which fields of a list to write: all, or only the counters whose
+/// kTimingDependent flag is clear (kExact) or set (kTiming).
+enum class Pick { kAll, kExact, kTiming };
+
+/// `"name": value` for each picked field of `s`, comma-separated.
+template <typename T>
+void append_fields(std::string& out, const T& s, Pick pick = Pick::kAll) {
+  const char* sep = "";
+  T::fields([&](const char* name, auto member, bool timing = false) {
+    if (pick != Pick::kAll && timing != (pick == Pick::kTiming)) return;
+    out += sep;
+    sep = ", ";
+    out += '"';
+    out += name;
+    out += "\": ";
+    append_value(out, s.*member);
+  });
 }
 
 }  // namespace
@@ -211,37 +240,14 @@ void JsonEmitter::add_version(const std::string& name, double exec_s,
                 "\"supersteps\": %zu,\n     \"totals\": {",
                 name.c_str(), exec_s, comm_s, trace.size());
   body_ += buf;
-  append_kv(body_, "active_vertices", t.active_vertices);
-  append_kv(body_, "edges_scanned", t.edges_scanned);
-  append_kv(body_, "msgs_local", t.msgs_local);
-  append_kv(body_, "msgs_remote", t.msgs_remote);
-  append_kv(body_, "msgs_received", t.msgs_received);
-  append_kv(body_, "bytes_sent", t.bytes_sent);
-  append_kv(body_, "bytes_received", t.bytes_received);
-  append_kv(body_, "columns_allocated", t.columns_allocated);
-  append_kv(body_, "sched_retrievals", t.sched_retrievals);
-  append_kv(body_, "frontier_size", t.frontier_size);
-  append_kv(body_, "dense_supersteps", t.dense_supersteps);
-  append_kv(body_, "sparse_supersteps", t.sparse_supersteps);
-  append_kv(body_, "groups_dirty", t.groups_dirty);
-  append_kv(body_, "groups_skipped", t.groups_skipped);
-  append_kv(body_, "push_supersteps", t.push_supersteps);
-  append_kv(body_, "pull_supersteps", t.pull_supersteps);
-  append_kv(body_, "direction_flips", t.direction_flips);
-  append_kv(body_, "pull_edges_scanned", t.pull_edges_scanned);
-  append_kv(body_, "pull_early_exits", t.pull_early_exits, /*last=*/true);
+  append_fields(body_, t, Pick::kExact);
+  body_ += "},\n     \"timing_totals\": {";
+  append_fields(body_, t, Pick::kTiming);
   body_ += "},\n     \"supersteps_detail\": [";
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& c = trace[i];
     if (i > 0) body_ += ',';
     body_ += "\n       {";
-    append_kv(body_, "frontier_size", c.frontier_size);
-    append_kv(body_, "sparse", c.sparse_supersteps);
-    append_kv(body_, "pull", c.pull_supersteps);
-    append_kv(body_, "groups_dirty", c.groups_dirty);
-    append_kv(body_, "groups_skipped", c.groups_skipped);
-    append_kv(body_, "active", c.active_vertices);
-    append_kv(body_, "verts_updated", c.verts_updated, /*last=*/true);
+    append_fields(body_, trace[i]);
     body_ += '}';
   }
   body_ += ']';
@@ -254,86 +260,21 @@ void JsonEmitter::add_version(const std::string& name, double exec_s,
 /// invariant are diffable from the JSON alone) plus a "phase_totals" rollup.
 void JsonEmitter::append_phases(const metrics::PhaseTrace& phases) {
   if (phases.empty()) return;
-  auto row = [](const metrics::PhaseSeconds& p, std::uint64_t superstep) {
-    char buf[352];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"superstep\": %llu, \"prepare\": %.6f, \"generate\": %.6f, "
-        "\"exchange\": %.6f, \"process\": %.6f, \"update\": %.6f, "
-        "\"terminate\": %.6f, \"checkpoint\": %.6f, \"phase_sum\": %.6f, "
-        "\"wall\": %.6f}",
-        static_cast<unsigned long long>(superstep), p.prepare, p.generate,
-        p.exchange, p.process, p.update, p.terminate, p.checkpoint,
-        p.phase_sum(), p.wall);
-    return std::string(buf);
+  auto row = [this](const metrics::PhaseSeconds& p, std::size_t superstep) {
+    body_ += "{\"superstep\": " + std::to_string(superstep) + ", ";
+    append_fields(body_, p);
+    body_ += ", \"phase_sum\": ";
+    append_value(body_, p.phase_sum());
+    body_ += '}';
   };
   body_ += ",\n     \"phases\": [";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     if (i > 0) body_ += ',';
     body_ += "\n       ";
-    body_ += row(phases[i], i);
+    row(phases[i], i);
   }
   body_ += "],\n     \"phase_totals\": ";
-  body_ += row(metrics::phase_totals(phases), phases.size());
-}
-
-void JsonEmitter::set_failover(const metrics::FailoverStats& f) {
-  if (!enabled_) return;
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "\n  \"failover\": {\"failed_over\": %llu, "
-                "\"attempts\": %llu, \"epochs\": %llu, \"rung\": %llu, "
-                "\"lost_supersteps\": %llu, \"recovery_ms\": %.3f, "
-                "\"epoch_recovery_ms\": [",
-                static_cast<unsigned long long>(f.failed_over),
-                static_cast<unsigned long long>(f.attempts),
-                static_cast<unsigned long long>(f.epochs),
-                static_cast<unsigned long long>(f.rung),
-                static_cast<unsigned long long>(f.lost_supersteps),
-                f.recovery_ms);
-  failover_json_ = buf;
-  for (std::size_t i = 0; i < f.epoch_recovery_ms.size(); ++i) {
-    if (i > 0) failover_json_ += ", ";
-    std::snprintf(buf, sizeof(buf), "%.3f", f.epoch_recovery_ms[i]);
-    failover_json_ += buf;
-  }
-  failover_json_ += "]},";
-}
-
-void JsonEmitter::set_serving(const ServingSummary& s) {
-  if (!enabled_) return;
-  char buf[448];
-  std::snprintf(
-      buf, sizeof(buf),
-      "\n  \"serving\": {\"jobs\": %llu, \"batches\": %llu, "
-      "\"lanes\": %llu, \"jobs_per_sec\": %.3f, "
-      "\"edge_scans_sequential\": %llu, \"edge_scans_batched\": %llu, "
-      "\"scan_reduction\": %.3f, \"p50_latency_ms\": %.3f, "
-      "\"p99_latency_ms\": %.3f, \"max_queue_depth\": %llu},",
-      static_cast<unsigned long long>(s.jobs),
-      static_cast<unsigned long long>(s.batches),
-      static_cast<unsigned long long>(s.lanes), s.jobs_per_sec,
-      static_cast<unsigned long long>(s.edge_scans_sequential),
-      static_cast<unsigned long long>(s.edge_scans_batched), s.scan_reduction,
-      s.p50_latency_ms, s.p99_latency_ms,
-      static_cast<unsigned long long>(s.max_queue_depth));
-  serving_json_ = buf;
-}
-
-void JsonEmitter::set_partition(const PartitionSummary& p) {
-  if (!enabled_) return;
-  char buf[384];
-  std::snprintf(
-      buf, sizeof(buf),
-      "\n  \"partition\": {\"ranks\": %llu, "
-      "\"replication_factor\": %.3f, \"load_imbalance\": %.3f, "
-      "\"cut_bytes\": %llu, \"round_robin_replication_factor\": %.3f, "
-      "\"round_robin_cut_bytes\": %llu},",
-      static_cast<unsigned long long>(p.ranks), p.replication_factor,
-      p.load_imbalance, static_cast<unsigned long long>(p.cut_bytes),
-      p.round_robin_replication_factor,
-      static_cast<unsigned long long>(p.round_robin_cut_bytes));
-  partition_json_ = buf;
+  row(metrics::phase_totals(phases), phases.size());
 }
 
 void JsonEmitter::set_ranks(const std::vector<metrics::RankIo>& io) {
@@ -361,24 +302,16 @@ JsonEmitter::~JsonEmitter() {
   if (!enabled_) return;
   body_ += "\n  ],";
   body_ += ranks_json_;
-  body_ += failover_json_.empty()
-               ? "\n  \"failover\": {\"failed_over\": 0, \"attempts\": 0, "
-                 "\"epochs\": 0, \"rung\": 0, \"lost_supersteps\": 0, "
-                 "\"recovery_ms\": 0.000, \"epoch_recovery_ms\": []},"
-               : failover_json_.c_str();
-  body_ += serving_json_.empty()
-               ? "\n  \"serving\": {\"jobs\": 0, \"batches\": 0, "
-                 "\"lanes\": 0, \"jobs_per_sec\": 0.000, "
-                 "\"edge_scans_sequential\": 0, \"edge_scans_batched\": 0, "
-                 "\"scan_reduction\": 0.000, \"p50_latency_ms\": 0.000, "
-                 "\"p99_latency_ms\": 0.000, \"max_queue_depth\": 0},"
-               : serving_json_.c_str();
-  body_ += partition_json_.empty()
-               ? "\n  \"partition\": {\"ranks\": 0, "
-                 "\"replication_factor\": 0.000, \"load_imbalance\": 0.000, "
-                 "\"cut_bytes\": 0, \"round_robin_replication_factor\": "
-                 "0.000, \"round_robin_cut_bytes\": 0},"
-               : partition_json_.c_str();
+  auto object = [this](const char* key, const auto& stats) {
+    body_ += "\n  \"";
+    body_ += key;
+    body_ += "\": {";
+    append_fields(body_, stats);
+    body_ += "},";
+  };
+  object("failover", failover_);
+  object("serving", serving_);
+  object("partition", partition_);
   body_.pop_back();  // drop the trailing comma after the last member
   body_ += "\n}\n";
   if (std::FILE* f = std::fopen(path_.c_str(), "w")) {

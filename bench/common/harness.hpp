@@ -85,6 +85,21 @@ struct ServingSummary {
   double p50_latency_ms = 0;
   double p99_latency_ms = 0;
   std::uint64_t max_queue_depth = 0;
+
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    using S = ServingSummary;
+    f("jobs", &S::jobs);
+    f("batches", &S::batches);
+    f("lanes", &S::lanes);
+    f("jobs_per_sec", &S::jobs_per_sec);
+    f("edge_scans_sequential", &S::edge_scans_sequential);
+    f("edge_scans_batched", &S::edge_scans_batched);
+    f("scan_reduction", &S::scan_reduction);
+    f("p50_latency_ms", &S::p50_latency_ms);
+    f("p99_latency_ms", &S::p99_latency_ms);
+    f("max_queue_depth", &S::max_queue_depth);
+  }
 };
 
 /// Whole-run summary of the streaming vertex-cut comparison (fig 6, k-way
@@ -99,6 +114,17 @@ struct PartitionSummary {
   std::uint64_t cut_bytes = 0;     // cross-rank bytes of a BFS under HDRF
   double round_robin_replication_factor = 0;
   std::uint64_t round_robin_cut_bytes = 0;
+
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    using S = PartitionSummary;
+    f("ranks", &S::ranks);
+    f("replication_factor", &S::replication_factor);
+    f("load_imbalance", &S::load_imbalance);
+    f("cut_bytes", &S::cut_bytes);
+    f("round_robin_replication_factor", &S::round_robin_replication_factor);
+    f("round_robin_cut_bytes", &S::round_robin_cut_bytes);
+  }
 };
 
 /// Per-application cost weights for the performance model (see
@@ -230,9 +256,11 @@ void print_footer();
 /// PHIGRAPH_BENCH_JSON environment variable is set ("1" for the working
 /// directory, anything else is treated as an output directory), the
 /// destructor writes BENCH_<fig>.json containing, per engine version, the
-/// modeled times, whole-run counter totals, and per-superstep series of the
-/// sparse-frontier counters (frontier_size, sparse flag, groups_dirty,
-/// groups_skipped). Disabled, every call is a no-op.
+/// modeled times, whole-run counter totals ("totals" holds the counters that
+/// are a pure function of graph, program and config, "timing_totals" the
+/// kTimingDependent ones), a row of every counter per superstep, and the
+/// host phase seconds. Every object is written from its struct's field
+/// list. Disabled, every call is a no-op.
 class JsonEmitter {
  public:
   JsonEmitter(const std::string& figure, const std::string& app,
@@ -245,21 +273,14 @@ class JsonEmitter {
                    const metrics::RunTrace& trace,
                    const metrics::PhaseTrace& phases = {});
 
-  /// Record the heterogeneous run's failover counters (all-zero on a
-  /// fault-free run); emitted as a top-level "failover" object.
-  void set_failover(const metrics::FailoverStats& f);
-
-  /// Record the serving bench's summary (all-zero for non-serving benches);
-  /// emitted as a top-level "serving" object. Like the failover object, the
-  /// destructor writes an all-zero default when this is never called, so
-  /// every bench JSON carries the schema the compare gate checks.
-  void set_serving(const ServingSummary& s);
-
-  /// Record the streaming vertex-cut comparison (all-zero for benches that
-  /// skip it); emitted as a top-level "partition" object. Like failover and
-  /// serving, the destructor writes an all-zero default when never called,
-  /// so every bench JSON carries the schema the compare gate checks.
-  void set_partition(const PartitionSummary& p);
+  /// Record the cluster run's failover counters, the serving bench's
+  /// summary and the streaming vertex-cut comparison; emitted as top-level
+  /// "failover", "serving" and "partition" objects. One never set is
+  /// written from its all-zero default, so every bench JSON carries the
+  /// keys the compare gate checks.
+  void set_failover(const metrics::FailoverStats& f) { failover_ = f; }
+  void set_serving(const ServingSummary& s) { serving_ = s; }
+  void set_partition(const PartitionSummary& p) { partition_ = p; }
 
   /// Record per-rank exchange traffic (bytes to / from every peer rank) of
   /// a heterogeneous / cluster run; emitted as a top-level "ranks" array.
@@ -274,9 +295,9 @@ class JsonEmitter {
   bool enabled_ = false;
   std::string path_;
   std::string body_;
-  std::string failover_json_;
-  std::string serving_json_;
-  std::string partition_json_;
+  metrics::FailoverStats failover_;
+  ServingSummary serving_;
+  PartitionSummary partition_;
   std::string ranks_json_;
   bool first_version_ = true;
 };

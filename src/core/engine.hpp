@@ -167,14 +167,13 @@ class DeviceEngine {
         cfg_.direction_mode != DirectionMode::kForcePush &&
         (peer_ ? pulls_with_peers<Program>() : is_pullable<Program>());
     // Push state: an engine that can never push — it pulls every superstep,
-    // all-active under kAuto or forced to — builds no CSB, no OMP
-    // accumulators and no remote buffer.
+    // all-active under kAuto or forced to — builds no CSB, no OMP vertex
+    // locks and no remote buffer.
     const bool pulls_only =
         pull_ready_ && (Program::kAllActive ||
                         cfg_.direction_mode == DirectionMode::kForcePull);
-    if (!pulls_only && cfg_.mode == ExecMode::kOmpStyle) {
-      acc_.resize(n);
-      has_msg_.assign(n, 0);
+    const bool omp_pushes = !pulls_only && cfg_.mode == ExecMode::kOmpStyle;
+    if (omp_pushes) {
       vertex_locks_ = std::make_unique<sched::SpinLock[]>(n);
     } else if (!pulls_only) {
       typename buffer::Csb<Msg>::Config bc;
@@ -208,8 +207,10 @@ class DeviceEngine {
         pull_frontier_.resize(static_cast<std::size_t>(n));
       if constexpr (HasPullSource<Program>)
         pull_src_.resize(lg_.global_num_vertices);
-      pull_acc_.resize(n);
-      pull_has_.assign(n, 0);
+    }
+    if (pull_ready_ || omp_pushes) {
+      acc_.resize(n);
+      has_acc_.assign(n, 0);
     }
     init_vertices();
   }
@@ -278,7 +279,7 @@ class DeviceEngine {
     // run, and traffic accounting restarts (the aborted epoch's RunResult
     // already reported its bytes).
     if (remote_) remote_->advance_epoch();
-    std::fill(pull_has_.begin(), pull_has_.end(), 0);
+    std::fill(has_acc_.begin(), has_acc_.end(), 0);
     std::fill(bytes_to_.begin(), bytes_to_.end(), 0);
     std::fill(bytes_from_.begin(), bytes_from_.end(), 0);
     // The resumed run may be driven by a freshly spawned cluster thread;
@@ -636,25 +637,12 @@ class DeviceEngine {
     });
     if (first) std::rethrow_exception(first);
   }
-  // Per-thread counters, cache-line separated.
+  // Per-thread counters, cache-line separated. The CSB tallies its inserts
+  // in `ins`; collect_counters() folds them into the superstep's counters.
   struct alignas(64) ThreadStats {
+    metrics::SuperstepCounters c;
     buffer::InsertStats ins;
-    std::uint64_t active = 0;
-    std::uint64_t edges = 0;
-    std::uint64_t msgs_remote = 0;
-    std::uint64_t msgs_received = 0;
-    std::uint64_t queue_pushes = 0;
-    std::uint64_t queue_full_spins = 0;
-    std::uint64_t vector_rows = 0;
-    std::uint64_t padded_cells = 0;
-    std::uint64_t scalar_msgs = 0;
-    std::uint64_t updated = 0;
     std::uint64_t next_active = 0;
-    std::uint64_t sched_retrievals = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t bytes_received = 0;
-    std::uint64_t pull_edges = 0;  // in-edges probed by the pull kernel
-    std::uint64_t pull_early = 0;  // pull scans cut short at first hit
   };
 
   // ---- message sinks ---------------------------------------------------------
@@ -681,8 +669,9 @@ class DeviceEngine {
     int worker;
     void send(vid_t global_dst, const Msg& m) {
       if (e->is_local(global_dst)) {
-        ts->queue_full_spins += e->pipe_->push(worker, e->local_id(global_dst), m);
-        ++ts->queue_pushes;
+        ts->c.queue_full_spins +=
+            e->pipe_->push(worker, e->local_id(global_dst), m);
+        ++ts->c.queue_pushes;
       } else {
         e->deposit_remote(global_dst, m, *ts);
       }
@@ -700,17 +689,17 @@ class DeviceEngine {
       const vid_t u = e->local_id(global_dst);
       e->vertex_locks_[u].lock();
       ++ts->ins.lock_acquisitions;
-      if (e->has_msg_[u]) {
+      if (e->has_acc_[u]) {
         e->acc_[u] = e->prog_.combine(e->acc_[u], m);
         ++ts->ins.conflicts;
       } else {
         e->acc_[u] = m;
-        e->has_msg_[u] = 1;
+        e->has_acc_[u] = 1;
         ++ts->ins.columns_allocated;
       }
       e->vertex_locks_[u].unlock();
       ++ts->ins.inserted;
-      ++ts->scalar_msgs;  // reduction work happens inline, scalar
+      ++ts->c.scalar_msgs;  // reduction work happens inline, scalar
     }
     void send_messages(vid_t dst, const Msg& m) { send(dst, m); }
   };
@@ -784,7 +773,7 @@ class DeviceEngine {
     } else {
       remote_->deposit_raw(global_dst, dst_rank, m);
     }
-    ++ts.msgs_remote;
+    ++ts.c.msgs_remote;
   }
 
   GraphView<Value> view(int superstep) noexcept {
@@ -904,8 +893,8 @@ class DeviceEngine {
     // Cost proportional to last superstep's work, not graph size: reset only
     // the CSB groups dirtied by the previous generation/exchange and clear
     // only the next-active bits the previous update actually set (their
-    // owners are exactly prev_frontier_; has_msg_ is cleared inline by the
-    // OMP-mode update).
+    // owners are exactly prev_frontier_; has_acc_ is cleared inline by
+    // update()).
     const std::size_t dirty = csb_ ? csb_->num_dirty_groups() : 0;
     const std::size_t nverts =
         Program::kAllActive ? 0 : prev_frontier_.size();
@@ -954,8 +943,8 @@ class DeviceEngine {
             u = static_cast<vid_t>(i);
             if (!Program::kAllActive && !active_[u]) continue;
           }
-          ++ts.active;
-          ts.edges += lg_.local.out_degree(u);
+          ++ts.c.active_vertices;
+          ts.c.edges_scanned += lg_.local.out_degree(u);
           PG_AUDIT_PHASE_EXPECT(bsp_phase_, kGenerate, "generate_messages()");
           PG_FAULT_POINT(kEngineGenerate, rank(), superstep);
           prog_.generate_messages(u, v, sink);
@@ -1013,7 +1002,7 @@ class DeviceEngine {
         });
         break;
     }
-    tstats_[0].sched_retrievals += sched_.retrievals();
+    tstats_[0].c.sched_retrievals += sched_.retrievals();
   }
 
   /// Bottom-up generation (paper-external: Beamer-style direction switch),
@@ -1053,7 +1042,7 @@ class DeviceEngine {
                   prog_.pull_source(values_[u], lg_.local.out_degree(u));
             }
         });
-        tstats_[0].sched_retrievals += sched_.retrievals();
+        tstats_[0].c.sched_retrievals += sched_.retrievals();
       }
     } else {
       PG_CHECK_MSG(false, "pull superstep on a non-pullable program");
@@ -1065,7 +1054,7 @@ class DeviceEngine {
   /// feeding pull_message() results into a private accumulator slot — the
   /// owning thread is the only writer, so there are no locks, no CSB
   /// traffic and no queue traffic. process() naturally no-ops afterwards
-  /// (no CSB group is dirtied) and update() takes its pull branch.
+  /// (no CSB group is dirtied) and update() drains the accumulator slots.
   void gather(int superstep) {
     const bool weighted = in_edges_->has_edge_values();
     sched_.reset(static_cast<std::size_t>(lg_.num_local_vertices()),
@@ -1078,10 +1067,10 @@ class DeviceEngine {
           pull_vertex(static_cast<vid_t>(i), weighted, superstep, ts);
       }
     });
-    tstats_[0].sched_retrievals += sched_.retrievals();
+    tstats_[0].c.sched_retrievals += sched_.retrievals();
 #if PG_TRACE_ENABLED
     std::uint64_t scanned = 0;
-    for (const auto& t : tstats_) scanned += t.pull_edges;
+    for (const auto& t : tstats_) scanned += t.c.pull_edges_scanned;
     hist_pull_scan_.record(scanned);
 #endif
   }
@@ -1185,14 +1174,14 @@ class DeviceEngine {
         }
         if constexpr (!Program::kNeedsReduction) {
           // Any frontier parent yields the same result — stop scanning.
-          if (e + 1 < hi) ++ts.pull_early;
+          if (e + 1 < hi) ++ts.c.pull_early_exits;
           break;
         }
       }
-      ts.pull_edges += scanned;
+      ts.c.pull_edges_scanned += scanned;
       if (found) {
-        pull_acc_[u] = acc;
-        pull_has_[u] = 1;
+        acc_[u] = acc;
+        has_acc_[u] = 1;
       }
     }
   }
@@ -1246,10 +1235,10 @@ class DeviceEngine {
         acc = prog_.combine(acc,
                             prog_.pull_message(values_[src], wv ? wv[e] : 0.0f));
       }
-      ts.pull_edges += hi - lo;
+      ts.c.pull_edges_scanned += hi - lo;
       if (found) {
-        pull_acc_[u] = acc;
-        pull_has_[u] = 1;
+        acc_[u] = acc;
+        has_acc_[u] = 1;
       }
     }
   }
@@ -1266,7 +1255,7 @@ class DeviceEngine {
     for (int r = 0; r < nranks_; ++r) {
       const std::uint64_t b =
           outgoing[static_cast<std::size_t>(r)].size() * kEnvelope;
-      tstats_[0].bytes_sent += b;
+      tstats_[0].c.bytes_sent += b;
       bytes_to_[static_cast<std::size_t>(r)] += b;
     }
     auto ex = peer_->data->exchange_for(rank(), std::move(outgoing),
@@ -1279,7 +1268,7 @@ class DeviceEngine {
       if (src == rank()) continue;
       Batch& in = ex.values[static_cast<std::size_t>(src)];
       const std::uint64_t b = in.size() * kEnvelope;
-      tstats_[0].bytes_received += b;
+      tstats_[0].c.bytes_received += b;
       bytes_from_[static_cast<std::size_t>(src)] += b;
       on_batch(in);
     }
@@ -1330,7 +1319,7 @@ class DeviceEngine {
   /// combine exactly — so a combined and an uncombined run insert identical
   /// message sets and differ only in wire bytes / received-message counts.
   void insert_incoming(Batch& incoming) {
-    tstats_[0].msgs_received += incoming.size();
+    tstats_[0].c.msgs_received += incoming.size();
     if (!combine_enabled_ && combiner_kind<Program>() != CombinerKind::kNone)
       precombine(incoming);
 
@@ -1390,7 +1379,7 @@ class DeviceEngine {
         }
       }
     });
-    tstats_[0].sched_retrievals += sched_.retrievals();
+    tstats_[0].c.sched_retrievals += sched_.retrievals();
   }
 
   void process_array(std::size_t g, int a, ThreadStats& ts) {
@@ -1401,7 +1390,7 @@ class DeviceEngine {
 
     if (cfg_.use_simd && lanes_ > 1) {
       if constexpr (simd::is_simd_basic_v<Msg>) {
-        ts.padded_cells += csb_->pad_array(g, a, rows, prog_.identity());
+        ts.c.padded_cells += csb_->pad_array(g, a, rows, prog_.identity());
         switch (lanes_) {
           case 4:  vec_reduce<4>(g, a, rows, ts);  return;
           case 8:  vec_reduce<8>(g, a, rows, ts);  return;
@@ -1421,7 +1410,7 @@ class DeviceEngine {
     PG_AUDIT_PHASE_EXPECT(bsp_phase_, kProcess, "process_messages()");
     PG_FAULT_POINT(kEngineProcess, rank(), cur_superstep_);
     prog_.process_messages(vmsgs);
-    ts.vector_rows += rows;
+    ts.c.vector_rows += rows;
   }
 
   void scalar_reduce(std::size_t g, int a, int cols, ThreadStats& ts) {
@@ -1436,7 +1425,7 @@ class DeviceEngine {
       for (std::uint32_t rrow = 1; rrow < cnt; ++rrow)
         res = prog_.combine(res, csb_->cell(g, col, rrow));
       csb_->cell(g, col, 0) = res;
-      ts.scalar_msgs += cnt;
+      ts.c.scalar_msgs += cnt;
     }
   }
 
@@ -1452,10 +1441,11 @@ class DeviceEngine {
 
   void update(int superstep) {
     auto v = view(superstep);
-    if (superstep_direction_ == Direction::kPull) {
-      // Pull results live in the per-vertex accumulator slots, not the CSB
-      // (nor the OMP acc_), whatever the execution scheme. Same shape as the
-      // OMP update: scan all n, skip slots without a result, clear inline.
+    if (superstep_direction_ == Direction::kPull ||
+        cfg_.mode == ExecMode::kOmpStyle) {
+      // Pull results and the OMP baseline's pushes sit in the per-vertex
+      // accumulator slots, not the CSB: scan all n, skip slots without a
+      // result, and clear each flag here so prepare() need not scan all n.
       const vid_t n = lg_.num_local_vertices();
       sched_.reset(n, cfg_.sched_chunk);
       team_run_guarded([&](int tid) {
@@ -1463,29 +1453,9 @@ class DeviceEngine {
         while (auto r = sched_.next_chunk()) {
           for (std::size_t i = r->begin; i < r->end; ++i) {
             const vid_t u = static_cast<vid_t>(i);
-            if (!pull_has_[u]) continue;
-            pull_has_[u] = 0;
-            ++ts.updated;
-            PG_AUDIT_PHASE_EXPECT(bsp_phase_, kUpdate, "update_vertex()");
-            PG_FAULT_POINT(kEngineUpdate, rank(), superstep);
-            if (prog_.update_vertex(pull_acc_[u], v, u)) activate(u, tid, ts);
-          }
-        }
-      });
-      tstats_[0].sched_retrievals += sched_.retrievals();
-      return;
-    }
-    if (cfg_.mode == ExecMode::kOmpStyle) {
-      const vid_t n = lg_.num_local_vertices();
-      sched_.reset(n, cfg_.sched_chunk);
-      team_run_guarded([&](int tid) {
-        auto& ts = tstats_[static_cast<std::size_t>(tid)];
-        while (auto r = sched_.next_chunk()) {
-          for (std::size_t i = r->begin; i < r->end; ++i) {
-            const vid_t u = static_cast<vid_t>(i);
-            if (!has_msg_[u]) continue;
-            has_msg_[u] = 0;  // cleared here so prepare() need not scan all n
-            ++ts.updated;
+            if (!has_acc_[u]) continue;
+            has_acc_[u] = 0;
+            ++ts.c.verts_updated;
             PG_AUDIT_PHASE_EXPECT(bsp_phase_, kUpdate, "update_vertex()");
             PG_FAULT_POINT(kEngineUpdate, rank(), superstep);
             if (prog_.update_vertex(acc_[u], v, u)) activate(u, tid, ts);
@@ -1508,7 +1478,7 @@ class DeviceEngine {
               if (csb_->column_count(g, col) == 0) continue;
               const vid_t u = csb_->column_vertex(g, col);
               PG_DCHECK(u != kInvalidVertex);
-              ++ts.updated;
+              ++ts.c.verts_updated;
               PG_AUDIT_PHASE_EXPECT(bsp_phase_, kUpdate, "update_vertex()");
               PG_FAULT_POINT(kEngineUpdate, rank(), superstep);
               if (prog_.update_vertex(csb_->cell(g, col, 0), v, u))
@@ -1518,40 +1488,26 @@ class DeviceEngine {
         }
       });
     }
-    tstats_[0].sched_retrievals += sched_.retrievals();
+    tstats_[0].c.sched_retrievals += sched_.retrievals();
   }
 
   metrics::SuperstepCounters collect_counters(int superstep) const {
     metrics::SuperstepCounters c;
-    c.superstep = static_cast<std::uint64_t>(superstep);
     for (const auto& t : tstats_) {
-      c.active_vertices += t.active;
-      c.edges_scanned += t.edges;
+      c += t.c;
       c.msgs_local += t.ins.inserted;
-      c.msgs_remote += t.msgs_remote;
-      c.msgs_received += t.msgs_received;
       c.columns_allocated += t.ins.columns_allocated;
       c.column_conflicts += t.ins.conflicts;
       c.lock_acquisitions += t.ins.lock_acquisitions;
-      c.queue_pushes += t.queue_pushes;
-      c.queue_full_spins += t.queue_full_spins;
-      c.vector_rows += t.vector_rows;
-      c.padded_cells += t.padded_cells;
-      c.scalar_msgs += t.scalar_msgs;
-      c.verts_updated += t.updated;
-      c.sched_retrievals += t.sched_retrievals;
-      c.bytes_sent += t.bytes_sent;
-      c.bytes_received += t.bytes_received;
-      c.pull_edges_scanned += t.pull_edges;
-      c.pull_early_exits += t.pull_early;
     }
+    c.superstep = static_cast<std::uint64_t>(superstep);
     c.frontier_size = superstep_frontier_size_;
     const bool pulled = superstep_direction_ == Direction::kPull;
     c.push_supersteps = pulled ? 0 : 1;
     c.pull_supersteps = pulled ? 1 : 0;
     c.direction_flips = direction_flipped_ ? 1 : 0;
     if (pulled) {
-      // No push worker ran, so ts.active stayed zero; the frontier that
+      // No push worker ran, so active_vertices stayed zero; the frontier that
       // drove the pull is the active set. Dense/sparse classify only push
       // iteration shapes: a pull superstep is neither.
       c.active_vertices = superstep_frontier_size_;
@@ -1600,16 +1556,14 @@ class DeviceEngine {
   // all-active programs), the pull_source operands indexed by global id
   // (programs that declare one; a rank with peers fills the remote entries
   // its gathers read from the share swap, whose per-peer send lists are
-  // boundary_), and per-vertex result slots written owner-thread-only by
-  // the pull kernel and drained by update()'s pull branch. The
-  // policy/estimate pair drives the kAuto decision.
+  // boundary_). The pull kernel writes its results, owner-thread-only, into
+  // the accumulator slots below. The policy/estimate pair drives the kAuto
+  // decision.
   bool pull_ready_ = false;
   std::optional<Transpose> in_edges_;
   simd::DenseBitset pull_frontier_;
   std::vector<Value> pull_src_;
   std::vector<std::vector<vid_t>> boundary_;
-  std::vector<Msg> pull_acc_;
-  std::vector<std::uint8_t> pull_has_;
   DirectionPolicy dir_policy_;
   Direction superstep_direction_ = Direction::kPush;
   Direction last_direction_ = Direction::kPush;
@@ -1622,9 +1576,12 @@ class DeviceEngine {
   std::optional<sched::ThreadTeam> team_;
   sched::DynamicScheduler sched_;
 
-  // OMP-baseline state.
+  // Per-vertex accumulator slots (engines that can pull, or push in OMP
+  // mode): a pull superstep's results, or the OMP baseline's combined
+  // messages, drained and cleared by update(). A superstep runs in one
+  // direction, so one pair serves both. The locks guard OMP-mode combines.
   std::vector<Msg> acc_;
-  std::vector<std::uint8_t> has_msg_;
+  std::vector<std::uint8_t> has_acc_;
   std::unique_ptr<sched::SpinLock[]> vertex_locks_;
 
   std::vector<ThreadStats> tstats_;

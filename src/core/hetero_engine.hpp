@@ -38,6 +38,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -114,17 +115,26 @@ class ClusterEngine {
       : graph_(&g),
         prog_(prog),
         nranks_(static_cast<int>(cfgs.size())),
-        data_(static_cast<int>(cfgs.size())),
-        control_(static_cast<int>(cfgs.size())),
-        owner_rank_(std::move(owner_rank)),
-        cfgs_(std::move(cfgs)),
-        recovery_cfg_(cfgs_.empty() ? EngineConfig{} : cfgs_.front()),
-        retry_(cfgs_.empty() ? fault::RetryPolicy{} : cfgs_.front().retry) {
-    PG_CHECK_MSG(!cfgs_.empty(), "ClusterEngine needs at least one rank");
-    for (const EngineConfig& c : cfgs_)
-      PG_CHECK_MSG(c.checkpoint.interval == cfgs_.front().checkpoint.interval,
-                   "all ranks must checkpoint at the same interval so their "
-                   "frames land on the same superstep boundaries");
+        recovery_cfg_(cfgs.empty() ? EngineConfig{} : cfgs.front()),
+        retry_(cfgs.empty() ? fault::RetryPolicy{} : cfgs.front().retry),
+        cluster_(std::move(owner_rank), std::move(cfgs)) {
+    const std::vector<EngineConfig>& rank_cfgs = cluster_.cfgs;
+    PG_CHECK_MSG(!rank_cfgs.empty(), "ClusterEngine needs at least one rank");
+    const auto pushes = [](const EngineConfig& c) {
+      return c.direction_mode == DirectionMode::kForcePush;
+    };
+    for (const EngineConfig& c : rank_cfgs) {
+      PG_CHECK_MSG(
+          c.checkpoint.interval == rank_cfgs.front().checkpoint.interval,
+          "all ranks must checkpoint at the same interval so their frames "
+          "land on the same superstep boundaries");
+      // A pulling rank swaps shares over the data channel on which a
+      // pushing rank ships messages; each would misfile the other's batch.
+      PG_CHECK_MSG(!pulls_with_peers<Program>() ||
+                       pushes(c) == pushes(rank_cfgs.front()),
+                   "ranks must agree on whether they pull: give every rank "
+                   "direction_mode kForcePush, or none");
+    }
     // The recovery engine runs single-device after the fault; it must not
     // trip armed fault-injection specs at checkpoint.write or overwrite the
     // frames being recovered from.
@@ -135,7 +145,7 @@ class ClusterEngine {
     // recovery_threads pins the total instead (deterministic recoveries).
     {
       int combined = 0;
-      for (const EngineConfig& c : cfgs_) combined += c.total_threads();
+      for (const EngineConfig& c : rank_cfgs) combined += c.total_threads();
       const int budget = recovery_cfg_.recovery_threads > 0
                              ? recovery_cfg_.recovery_threads
                              : combined;
@@ -144,13 +154,7 @@ class ClusterEngine {
               ? std::max(1, budget - recovery_cfg_.movers)
               : std::max(1, budget);
     }
-    auto parts = LocalGraph::split_n(g, owner_rank_, nranks_);
-    engines_.reserve(static_cast<std::size_t>(nranks_));
-    for (int r = 0; r < nranks_; ++r)
-      engines_.push_back(std::make_unique<Engine>(
-          std::move(parts[static_cast<std::size_t>(r)]), prog_,
-          cfgs_[static_cast<std::size_t>(r)],
-          typename Engine::PeerLink{r, &data_, &control_, graph_}));
+    build(cluster_);
   }
 
   /// Scheme-deriving constructor: no explicit owner map — vertices are
@@ -177,9 +181,9 @@ class ClusterEngine {
     Result res;
     int backoff_ms = retry_.backoff_ms;
     for (;;) {
-      run_ranks(res);
+      res.ranks = run_ranks(cluster_);
       fault::FaultReport epoch_fault;
-      if (!collect_failure(res, epoch_fault)) {
+      if (!collect_failure(res.ranks, epoch_fault)) {
         finish_full_cluster(res);
         return res;
       }
@@ -209,7 +213,7 @@ class ClusterEngine {
       if (try_repartition(res, epoch_fault)) return res;
       // Rung 3: the single-device rerun, resuming from the old rank set's
       // checkpoint frames.
-      fail_over(res, epoch_fault, engines_);
+      fail_over(res, epoch_fault, cluster_.engines);
       return res;
     }
   }
@@ -217,7 +221,7 @@ class ClusterEngine {
   [[nodiscard]] int num_ranks() const noexcept { return nranks_; }
   [[nodiscard]] const Engine& engine(int r) const {
     PG_CHECK(r >= 0 && r < nranks_);
-    return *engines_[static_cast<std::size_t>(r)];
+    return *cluster_.engines[static_cast<std::size_t>(r)];
   }
 
   /// The effective config of the rung-3 single-device recovery engine
@@ -227,48 +231,89 @@ class ClusterEngine {
   }
 
  private:
-  static void gather(const Engine& e, std::vector<Value>& out) {
-    const auto& lg = e.local_graph();
-    const auto vals = e.values();
-    for (vid_t u = 0; u < lg.num_local_vertices(); ++u)
-      out[lg.global_id[u]] = vals[u];
+  using Engines = std::vector<std::unique_ptr<Engine>>;
+
+  /// A set of ranks over the graph: its partition, each rank's config, the
+  /// channels that wire the ranks together, and their engines. The full
+  /// cluster is one; the survivors of a rung-2 repartition are another.
+  struct RankSet {
+    RankSet(std::vector<int> owner_rank, std::vector<EngineConfig> configs)
+        : owner(std::move(owner_rank)),
+          cfgs(std::move(configs)),
+          data(static_cast<int>(cfgs.size())),
+          control(static_cast<int>(cfgs.size())) {}
+
+    std::vector<int> owner;
+    std::vector<EngineConfig> cfgs;
+    comm::AllToAll<typename Engine::Batch> data;
+    comm::AllToAll<std::uint64_t> control;
+    Engines engines;
+  };
+
+  /// Build every engine of `rs` from its partition, or only rank `only`'s
+  /// (the others keep theirs); each joins rs's channels.
+  void build(RankSet& rs, int only = -1) const {
+    const int n = static_cast<int>(rs.cfgs.size());
+    auto parts = LocalGraph::split_n(*graph_, rs.owner, n);
+    rs.engines.resize(static_cast<std::size_t>(n));
+    for (int r = 0; r < n; ++r) {
+      if (only >= 0 && r != only) continue;
+      const auto i = static_cast<std::size_t>(r);
+      rs.engines[i] = std::make_unique<Engine>(
+          std::move(parts[i]), prog_, rs.cfgs[i],
+          typename Engine::PeerLink{r, &rs.data, &rs.control, graph_});
+    }
   }
 
-  /// One BSP epoch over the full rank set: rank 0 on the calling thread,
-  /// every other rank on its own host thread, joined by a scope guard.
-  void run_ranks(Result& res) {
-    res.ranks.clear();
-    res.ranks.resize(static_cast<std::size_t>(nranks_));
-    std::vector<std::thread> threads;
-    ThreadGroupJoiner joiner(threads);
-    threads.reserve(static_cast<std::size_t>(nranks_ - 1));
-    for (int r = 1; r < nranks_; ++r)
-      threads.emplace_back([this, r, &res] {
-        res.ranks[static_cast<std::size_t>(r)] =
-            engines_[static_cast<std::size_t>(r)]->run();
-      });
-    res.ranks[0] = engines_[0]->run();
+  /// One BSP epoch over a rank set: rank 0 on the calling thread, every
+  /// other rank on its own host thread, joined by a scope guard.
+  static std::vector<RunResult> run_ranks(const RankSet& rs) {
+    const Engines& engines = rs.engines;
+    std::vector<RunResult> out(engines.size());
+    {
+      std::vector<std::thread> threads;
+      ThreadGroupJoiner joiner(threads);
+      threads.reserve(engines.size() - 1);
+      for (std::size_t r = 1; r < engines.size(); ++r)
+        threads.emplace_back(
+            [&out, &engines, r] { out[r] = engines[r]->run(); });
+      out[0] = engines[0]->run();
+    }
+    return out;
   }
 
   /// True if any rank failed; fills `out` with this epoch's origin report:
   /// the first failed rank carrying a valid fault (a rank that observed a
   /// peer failure carries the origin's report, so any valid one names the
   /// true culprit), falling back to the first failure.
-  static bool collect_failure(const Result& res, fault::FaultReport& out) {
+  static bool collect_failure(const std::vector<RunResult>& ranks,
+                              fault::FaultReport& out) {
     bool failed = false;
-    for (const RunResult& r : res.ranks) failed = failed || r.failed;
+    for (const RunResult& r : ranks) failed = failed || r.failed;
     if (!failed) return false;
-    for (const RunResult& r : res.ranks)
+    for (const RunResult& r : ranks)
       if (r.failed && r.fault.valid()) {
         out = r.fault;
         return true;
       }
-    for (const RunResult& r : res.ranks)
+    for (const RunResult& r : ranks)
       if (r.failed) {
         out = r.fault;
         break;
       }
     return true;
+  }
+
+  /// Scatter the vertex values of every rank of `rs` into `out`, indexed by
+  /// global id.
+  void gather(const RankSet& rs, std::vector<Value>& out) const {
+    out.resize(graph_->num_vertices());
+    for (const auto& e : rs.engines) {
+      const auto& lg = e->local_graph();
+      const auto vals = e->values();
+      for (vid_t u = 0; u < lg.num_local_vertices(); ++u)
+        out[lg.global_id[u]] = vals[u];
+    }
   }
 
   /// Success path for the full rank set (fault-free run or a completed
@@ -282,16 +327,15 @@ class ClusterEngine {
     // reads its vertex values (a rank mid-phase here would mean the control
     // exchange let one side run ahead).
     for (int r = 0; r < nranks_; ++r)
-      PG_AUDIT_FMT(engines_[static_cast<std::size_t>(r)]->audit_phase() ==
-                       audit::BspPhase::kIdle,
-                   "hetero-devices-idle",
-                   "gather started while rank %d is mid-superstep (phase: %s)",
-                   r,
-                   audit::phase_name(
-                       engines_[static_cast<std::size_t>(r)]->audit_phase()));
+      PG_AUDIT_FMT(
+          cluster_.engines[static_cast<std::size_t>(r)]->audit_phase() ==
+              audit::BspPhase::kIdle,
+          "hetero-devices-idle",
+          "gather started while rank %d is mid-superstep (phase: %s)", r,
+          audit::phase_name(
+              cluster_.engines[static_cast<std::size_t>(r)]->audit_phase()));
 #endif
-    res.global_values.resize(graph_->num_vertices());
-    for (const auto& e : engines_) gather(*e, res.global_values);
+    gather(cluster_, res.global_values);
   }
 
   /// Account one recovery epoch: bump the epoch count, track the deepest
@@ -350,26 +394,6 @@ class ClusterEngine {
     return true;
   }
 
-  /// Rebuild rank r's engine from scratch over its original partition (the
-  /// channels are shared members, so the new engine rejoins the same
-  /// rendezvous).
-  void rebuild_engine(int r) {
-    auto parts = LocalGraph::split_n(*graph_, owner_rank_, nranks_);
-    engines_[static_cast<std::size_t>(r)] = std::make_unique<Engine>(
-        std::move(parts[static_cast<std::size_t>(r)]), prog_,
-        cfgs_[static_cast<std::size_t>(r)],
-        typename Engine::PeerLink{r, &data_, &control_, graph_});
-  }
-
-  void rebuild_all_engines() {
-    auto parts = LocalGraph::split_n(*graph_, owner_rank_, nranks_);
-    for (int r = 0; r < nranks_; ++r)
-      engines_[static_cast<std::size_t>(r)] = std::make_unique<Engine>(
-          std::move(parts[static_cast<std::size_t>(r)]), prog_,
-          cfgs_[static_cast<std::size_t>(r)],
-          typename Engine::PeerLink{r, &data_, &control_, graph_});
-  }
-
   /// Ladder rung 1: respawn the failed rank's engine, restore every rank
   /// from the newest common frame (surviving ranks restore in place; with no
   /// usable frame, or an unidentified culprit, everything is rebuilt and the
@@ -383,16 +407,16 @@ class ClusterEngine {
     try {
       int resume = 0;
       std::vector<fault::CheckpointFrame> frames;
-      find_common_frames(engines_, resume, frames);
+      find_common_frames(cluster_.engines, resume, frames);
       const int dead = epoch_fault.rank;
       if (frames.empty() || dead < 0 || dead >= nranks_) {
-        rebuild_all_engines();
+        build(cluster_);
         if (!frames.empty()) {
           for (int r = 0; r < nranks_; ++r)
-            if (!restore_from_frame(*engines_[static_cast<std::size_t>(r)],
-                                    frames[static_cast<std::size_t>(r)],
-                                    resume)) {
-              rebuild_all_engines();  // shape mismatch: restart from scratch
+            if (!restore_from_frame(
+                    *cluster_.engines[static_cast<std::size_t>(r)],
+                    frames[static_cast<std::size_t>(r)], resume)) {
+              build(cluster_);  // shape mismatch: restart from scratch
               resume = 0;
               break;
             }
@@ -400,18 +424,18 @@ class ClusterEngine {
           resume = 0;
         }
       } else {
-        rebuild_engine(dead);
+        build(cluster_, dead);
         for (int r = 0; r < nranks_; ++r)
-          if (!restore_from_frame(*engines_[static_cast<std::size_t>(r)],
-                                  frames[static_cast<std::size_t>(r)],
-                                  resume)) {
-            rebuild_all_engines();
+          if (!restore_from_frame(
+                  *cluster_.engines[static_cast<std::size_t>(r)],
+                  frames[static_cast<std::size_t>(r)], resume)) {
+            build(cluster_);
             resume = 0;
             break;
           }
       }
-      data_.advance_epoch();
-      control_.advance_epoch();
+      cluster_.data.advance_epoch();
+      cluster_.control.advance_epoch();
       record_epoch(res, epoch_fault, resume, /*rung=*/1, rec.millis());
       return true;
     } catch (...) {
@@ -439,9 +463,7 @@ class ClusterEngine {
     PG_TRACE_SCOPE(kRecovery, -1, 0);
     Timer rec;
     const int m = nranks_ - 1;
-    std::vector<std::unique_ptr<Engine>> survivors;
-    comm::AllToAll<typename Engine::Batch> data2(m);
-    comm::AllToAll<std::uint64_t> control2(m);
+    std::optional<RankSet> survivors;
     int resume = 0;
     try {
       partition::RankWeights w;
@@ -450,16 +472,17 @@ class ClusterEngine {
       scfgs.reserve(static_cast<std::size_t>(m));
       for (int r = 0; r < nranks_; ++r) {
         if (r == dead) continue;
-        scfgs.push_back(cfgs_[static_cast<std::size_t>(r)]);
-        w.push_back(
-            std::max(1, cfgs_[static_cast<std::size_t>(r)].total_threads()));
+        const EngineConfig& c = cluster_.cfgs[static_cast<std::size_t>(r)];
+        scfgs.push_back(c);
+        w.push_back(std::max(1, c.total_threads()));
       }
-      auto owner2 =
-          partition::reassign_after_loss(*graph_, owner_rank_, nranks_, dead, w);
+      survivors.emplace(partition::reassign_after_loss(
+                            *graph_, cluster_.owner, nranks_, dead, w),
+                        std::move(scfgs));
 
       // Global restore state from the old rank set's newest common frame.
       std::vector<fault::CheckpointFrame> frames;
-      find_common_frames(engines_, resume, frames);
+      find_common_frames(cluster_.engines, resume, frames);
       const vid_t n = graph_->num_vertices();
       std::vector<Value> vals;
       std::vector<std::uint8_t> act;
@@ -469,23 +492,17 @@ class ClusterEngine {
         act.assign(n, 0);
         bool ok = true;
         for (std::size_t r = 0; r < frames.size(); ++r)
-          ok = ok && apply_frame(frames[r], engines_[r]->local_graph(), vals,
-                                 act);
+          ok = ok && apply_frame(frames[r],
+                                 cluster_.engines[r]->local_graph(), vals, act);
         if (ok)
           have_state = true;
         else
           resume = 0;  // frame shape mismatch: restart from scratch
       }
 
-      auto parts = LocalGraph::split_n(*graph_, std::move(owner2), m);
-      survivors.reserve(static_cast<std::size_t>(m));
-      for (int r = 0; r < m; ++r)
-        survivors.push_back(std::make_unique<Engine>(
-            std::move(parts[static_cast<std::size_t>(r)]),  prog_,
-            scfgs[static_cast<std::size_t>(r)],
-            typename Engine::PeerLink{r, &data2, &control2, graph_}));
+      build(*survivors);
       if (have_state) {
-        for (auto& e : survivors) {
+        for (auto& e : survivors->engines) {
           const auto& lg = e->local_graph();
           const std::size_t ln =
               static_cast<std::size_t>(lg.num_local_vertices());
@@ -503,41 +520,15 @@ class ClusterEngine {
     }
     record_epoch(res, epoch_fault, resume, /*rung=*/2, rec.millis());
 
-    std::vector<RunResult> rr(static_cast<std::size_t>(m));
-    {
-      std::vector<std::thread> threads;
-      ThreadGroupJoiner joiner(threads);
-      threads.reserve(static_cast<std::size_t>(m - 1));
-      for (int r = 1; r < m; ++r)
-        threads.emplace_back([&rr, &survivors, r] {
-          rr[static_cast<std::size_t>(r)] =
-              survivors[static_cast<std::size_t>(r)]->run();
-        });
-      rr[0] = survivors[0]->run();
-    }
-    res.recovery_ranks = std::move(rr);
+    res.recovery_ranks = run_ranks(*survivors);
     fault::FaultReport f2;
-    bool failed = false;
-    for (const RunResult& r : res.recovery_ranks) failed = failed || r.failed;
-    if (failed) {
-      for (const RunResult& r : res.recovery_ranks)
-        if (r.failed && r.fault.valid()) {
-          f2 = r.fault;
-          break;
-        }
-      if (!f2.valid())
-        for (const RunResult& r : res.recovery_ranks)
-          if (r.failed) {
-            f2 = r.fault;
-            break;
-          }
+    if (collect_failure(res.recovery_ranks, f2)) {
       // The survivors checkpointed their own progress; rung 3 resumes from
       // THEIR newest common frame, not the pre-repartition one.
-      fail_over(res, f2, survivors);
+      fail_over(res, f2, survivors->engines);
       return true;
     }
-    res.global_values.resize(graph_->num_vertices());
-    for (const auto& e : survivors) gather(*e, res.global_values);
+    gather(*survivors, res.global_values);
     return true;
   }
 
@@ -604,13 +595,9 @@ class ClusterEngine {
   const graph::Csr* graph_;
   Program prog_;
   int nranks_;
-  comm::AllToAll<typename Engine::Batch> data_;
-  comm::AllToAll<std::uint64_t> control_;
-  std::vector<int> owner_rank_;      // kept for rebuilds and repartitioning
-  std::vector<EngineConfig> cfgs_;   // per-rank configs, kept for rebuilds
   EngineConfig recovery_cfg_;
   fault::RetryPolicy retry_;
-  std::vector<std::unique_ptr<Engine>> engines_;
+  RankSet cluster_;  // partition and configs kept for rebuilds
 };
 
 /// Convenience: run a program on the whole graph with one device config.

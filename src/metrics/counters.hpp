@@ -12,8 +12,18 @@
 
 namespace phigraph::metrics {
 
+/// Flags a counter whose value depends on thread timing (which thread won a
+/// column, how full a queue ran), not only on graph, program and config.
+inline constexpr bool kTimingDependent = true;
+
+/// a += b over every field in T's field list.
+template <typename T>
+constexpr void add_fields(T& a, const T& b) noexcept {
+  T::fields([&](const char*, auto m, auto...) { a.*m += b.*m; });
+}
+
 struct SuperstepCounters {
-  std::uint64_t superstep = 0;
+  std::uint64_t superstep = 0;         // row index, not a counter
   std::uint64_t active_vertices = 0;   // vertices that ran generate_messages
   std::uint64_t edges_scanned = 0;     // out-edges of active vertices
   std::uint64_t msgs_local = 0;        // inserted into the local CSB
@@ -48,34 +58,43 @@ struct SuperstepCounters {
   std::uint64_t pull_edges_scanned = 0; // in-edges probed by the pull kernel
   std::uint64_t pull_early_exits = 0;   // pull scans cut short at first hit
 
+  /// Every counter once, as f(json_name, member[, kTimingDependent]):
+  /// operator+=, the engine's per-thread tallies and the bench JSON all
+  /// follow this list.
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    using S = SuperstepCounters;
+    f("active_vertices", &S::active_vertices);
+    f("edges_scanned", &S::edges_scanned);
+    f("msgs_local", &S::msgs_local);
+    f("msgs_remote", &S::msgs_remote);
+    f("msgs_received", &S::msgs_received);
+    f("columns_allocated", &S::columns_allocated);
+    f("column_conflicts", &S::column_conflicts);
+    f("lock_acquisitions", &S::lock_acquisitions, kTimingDependent);
+    f("queue_pushes", &S::queue_pushes);
+    f("queue_full_spins", &S::queue_full_spins, kTimingDependent);
+    f("vector_rows", &S::vector_rows, kTimingDependent);
+    f("padded_cells", &S::padded_cells, kTimingDependent);
+    f("scalar_msgs", &S::scalar_msgs);
+    f("verts_updated", &S::verts_updated);
+    f("sched_retrievals", &S::sched_retrievals);
+    f("bytes_sent", &S::bytes_sent);
+    f("bytes_received", &S::bytes_received);
+    f("frontier_size", &S::frontier_size);
+    f("dense_supersteps", &S::dense_supersteps);
+    f("sparse_supersteps", &S::sparse_supersteps);
+    f("groups_dirty", &S::groups_dirty);
+    f("groups_skipped", &S::groups_skipped);
+    f("push_supersteps", &S::push_supersteps);
+    f("pull_supersteps", &S::pull_supersteps);
+    f("direction_flips", &S::direction_flips);
+    f("pull_edges_scanned", &S::pull_edges_scanned);
+    f("pull_early_exits", &S::pull_early_exits);
+  }
+
   SuperstepCounters& operator+=(const SuperstepCounters& o) noexcept {
-    active_vertices += o.active_vertices;
-    edges_scanned += o.edges_scanned;
-    msgs_local += o.msgs_local;
-    msgs_remote += o.msgs_remote;
-    msgs_received += o.msgs_received;
-    columns_allocated += o.columns_allocated;
-    column_conflicts += o.column_conflicts;
-    lock_acquisitions += o.lock_acquisitions;
-    queue_pushes += o.queue_pushes;
-    queue_full_spins += o.queue_full_spins;
-    vector_rows += o.vector_rows;
-    padded_cells += o.padded_cells;
-    scalar_msgs += o.scalar_msgs;
-    verts_updated += o.verts_updated;
-    sched_retrievals += o.sched_retrievals;
-    bytes_sent += o.bytes_sent;
-    bytes_received += o.bytes_received;
-    frontier_size += o.frontier_size;
-    dense_supersteps += o.dense_supersteps;
-    sparse_supersteps += o.sparse_supersteps;
-    groups_dirty += o.groups_dirty;
-    groups_skipped += o.groups_skipped;
-    push_supersteps += o.push_supersteps;
-    pull_supersteps += o.pull_supersteps;
-    direction_flips += o.direction_flips;
-    pull_edges_scanned += o.pull_edges_scanned;
-    pull_early_exits += o.pull_early_exits;
+    add_fields(*this, o);
     return *this;
   }
 };
@@ -97,6 +116,18 @@ struct FailoverStats {
   std::uint64_t lost_supersteps = 0; // max over epochs: fault - resume
   double recovery_ms = 0;            // total rebuild + restore wall time
   std::vector<double> epoch_recovery_ms;  // per-epoch rebuild + restore time
+
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    using S = FailoverStats;
+    f("failed_over", &S::failed_over);
+    f("attempts", &S::attempts);
+    f("epochs", &S::epochs);
+    f("rung", &S::rung);
+    f("lost_supersteps", &S::lost_supersteps);
+    f("recovery_ms", &S::recovery_ms);
+    f("epoch_recovery_ms", &S::epoch_recovery_ms);
+  }
 };
 
 /// Per-peer exchange traffic of one rank across a whole run, indexed by the
@@ -133,15 +164,21 @@ struct PhaseSeconds {
            checkpoint;
   }
 
+  template <typename F>
+  static constexpr void fields(F&& f) {
+    using S = PhaseSeconds;
+    f("prepare", &S::prepare);
+    f("generate", &S::generate);
+    f("exchange", &S::exchange);
+    f("process", &S::process);
+    f("update", &S::update);
+    f("terminate", &S::terminate);
+    f("checkpoint", &S::checkpoint);
+    f("wall", &S::wall);
+  }
+
   PhaseSeconds& operator+=(const PhaseSeconds& o) noexcept {
-    prepare += o.prepare;
-    generate += o.generate;
-    exchange += o.exchange;
-    process += o.process;
-    update += o.update;
-    terminate += o.terminate;
-    checkpoint += o.checkpoint;
-    wall += o.wall;
+    add_fields(*this, o);
     return *this;
   }
 };

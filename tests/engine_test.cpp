@@ -196,6 +196,28 @@ TEST(HeteroCluster, PageRankMatchesClassic) {
     EXPECT_NEAR(res.global_values[v], classic[v], 1e-3f * (1.0f + classic[v]));
 }
 
+// A pulling rank swaps shares over the data channel on which a pushing rank
+// ships messages, so PageRank ranks must agree on whether they pull.
+TEST(HeteroCluster, PageRankRanksThatDisagreeOnPullingAreRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto g = gen::pokec_like(2000, 20000, 7);
+  const auto owner = partition::round_robin_partition_k(g, {1, 1});
+  EngineConfig push;
+  EngineConfig pull;
+  push.threads = pull.threads = 1;
+  push.max_supersteps = pull.max_supersteps = 5;
+  push.direction_mode = core::DirectionMode::kForcePush;
+  pull.direction_mode = core::DirectionMode::kAuto;
+  for (const auto& cfgs : {std::vector{push, pull}, std::vector{pull, push}})
+    EXPECT_DEATH(
+        {
+          core::ClusterEngine<apps::PageRank> ce(g, owner, apps::PageRank{},
+                                                 cfgs);
+          (void)ce.run();
+        },
+        "ranks must agree on whether they pull");
+}
+
 TEST(HeteroCluster, BfsMatchesClassicUnderSkewedPartition) {
   const auto g = test_graph();
   const apps::Bfs prog(5);

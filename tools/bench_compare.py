@@ -11,19 +11,26 @@ Usage:
     bench_compare.py baseline.json candidate.json [--threshold PCT]
                      [--phase-threshold PCT] [--min-seconds S] [--warn-only]
 
-Semantics:
-  * versions are matched by name; versions present on only one side are
-    reported but never fail the comparison (the benches, not this tool,
-    decide the version set),
+The tool knows no field names: the bench emitter writes every object from
+its struct's field list, and the baseline is the schema. Two rules are
+errors (exit 2, even under --warn-only):
+  * every key of a baseline object exists in the candidate's matching
+    object with the same JSON type — versions are matched by name, list
+    rows by position, and an error names the key's full path (e.g.
+    versions[CPU Lock].phases[0].generate), so a renamed or dropped field
+    cannot silently disarm a check,
+  * every counter in a baseline version's "totals" equals the candidate's:
+    "totals" holds only counters that are a pure function of graph, program
+    and config, so a drifting counter means the workload changed and the
+    timing comparison is meaningless.
+
+Timing semantics:
+  * versions present on only one side are reported but never fail the
+    comparison (the benches, not this tool, decide the version set),
   * a regression is candidate > baseline * (1 + threshold/100),
   * times below --min-seconds are skipped (pure noise at tiny scales),
-  * counter totals (msgs_local, edges_scanned, ...) are compared exactly:
-    the engines are deterministic given a scale, so a drifting counter means
-    the workload changed and the timing comparison is meaningless — that is
-    reported as an error, not a regression,
-  * a workload counter present on only one side is an error too ("renamed or
-    dropped"): silently skipping it would let a counter rename disarm the
-    drift check without anyone noticing.
+  * the per-phase totals sum every key of the baseline's phase rows except
+    the row index.
 """
 
 from __future__ import annotations
@@ -32,67 +39,8 @@ import argparse
 import json
 import sys
 
-# Counters that must match exactly for the timing diff to mean anything.
-WORKLOAD_COUNTERS = ("active_vertices", "edges_scanned", "msgs_local")
-
-# Host-phase fields totalled per version from the "phases" table.
-PHASE_FIELDS = (
-    "prepare",
-    "generate",
-    "exchange",
-    "process",
-    "update",
-    "terminate",
-    "checkpoint",
-)
-
-# Numeric fields every top-level "failover" object must carry (the recovery
-# ladder's outcome: attempts/epochs/rung/lost_supersteps plus wall time). A
-# missing or renamed field is a schema error — the emitter and this gate must
-# move in lockstep, or a rename would silently disarm the failover check.
-FAILOVER_FIELDS = (
-    "failed_over",
-    "attempts",
-    "epochs",
-    "rung",
-    "lost_supersteps",
-    "recovery_ms",
-)
-
-# Numeric fields every top-level "serving" object must carry (the multi-query
-# serving layer's outcome: batching effectiveness, the edge-scan savings of
-# the shared run, and tail latency). Same lockstep rule as FAILOVER_FIELDS:
-# a missing or renamed field is a schema error, not a silent skip. The values
-# themselves are NOT compared across files — throughput and latency are
-# host-noise; only the schema is gated here.
-SERVING_FIELDS = (
-    "jobs",
-    "batches",
-    "lanes",
-    "jobs_per_sec",
-    "edge_scans_sequential",
-    "edge_scans_batched",
-    "scan_reduction",
-    "p50_latency_ms",
-    "p99_latency_ms",
-    "max_queue_depth",
-)
-
-# Numeric fields every top-level "partition" object must carry (the k-way
-# streaming vertex-cut comparison: HDRF's replication factor, load imbalance
-# and measured cut bytes against the round-robin baseline). Same lockstep
-# rule as the failover and serving objects: a missing or renamed field is a
-# schema error, not a silent skip. Values are not compared across files —
-# partition quality is a property of the scheme, gated by the bench's own
-# acceptance checks; only the schema is gated here.
-PARTITION_FIELDS = (
-    "ranks",
-    "replication_factor",
-    "load_imbalance",
-    "cut_bytes",
-    "round_robin_replication_factor",
-    "round_robin_cut_bytes",
-)
+# Key of a phase row that numbers the superstep rather than timing a phase.
+PHASE_ROW_INDEX = "superstep"
 
 
 def load(path: str) -> dict:
@@ -109,111 +57,75 @@ def versions_by_name(doc: dict, path: str) -> dict[str, dict]:
         sys.exit(f"bench_compare: {path} has no 'versions' array")
     out = {}
     for v in versions:
-        name = v.get("name")
+        name = v.get("name") if isinstance(v, dict) else None
         if not isinstance(name, str):
             sys.exit(f"bench_compare: {path} has a version without a name")
         out[name] = v
     return out
 
 
-def check_failover(doc: dict, path: str, rep: "Report") -> None:
-    """Validate the top-level "failover" object against FAILOVER_FIELDS.
+def json_type(value: object) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, list):
+        return "array"
+    if isinstance(value, dict):
+        return "object"
+    return "null"
 
-    Every bench emits the object (all-zero on fault-free runs), so a missing
-    object or a missing/non-numeric field is a hard schema error.
-    """
-    fo = doc.get("failover")
-    if not isinstance(fo, dict):
-        rep.errors.append(
-            f"{path}: top-level 'failover' object is missing or not an "
-            f"object (the bench emitter always writes one)"
+
+def check_value(base: object, cand: object, path: str, errors: list[str]) -> None:
+    """The key rule: every key of a baseline object exists in the
+    candidate's matching object with the same JSON type, recursively.
+    Versions are matched by name (a version on one side only is a note,
+    not an error), other list rows by position."""
+    if json_type(cand) != json_type(base):
+        errors.append(
+            f"{path} is a {json_type(base)} in the baseline but a "
+            f"{json_type(cand)} in the candidate"
         )
-        return
-    for field in FAILOVER_FIELDS:
-        if field not in fo:
-            rep.errors.append(
-                f"{path}: failover field '{field}' is missing — renamed or "
-                f"dropped? The failover-schema gate cannot run without it."
-            )
-        elif not isinstance(fo[field], (int, float)) or isinstance(
-            fo[field], bool
-        ):
-            rep.errors.append(
-                f"{path}: failover field '{field}' is {fo[field]!r}, "
-                f"not a number"
-            )
-    erm = fo.get("epoch_recovery_ms")
-    if not isinstance(erm, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in erm
-    ):
-        rep.errors.append(
-            f"{path}: failover field 'epoch_recovery_ms' must be a list of "
-            f"numbers (got {erm!r})"
-        )
+    elif isinstance(base, dict):
+        for key, value in base.items():
+            sub = f"{path}.{key}" if path else key
+            if key in cand:
+                check_value(value, cand[key], sub, errors)
+            else:
+                errors.append(
+                    f"{sub} is in the baseline but not the candidate — "
+                    f"renamed or dropped?"
+                )
+    elif isinstance(base, list) and path == "versions":
+        named = {v.get("name"): v for v in cand if isinstance(v, dict)}
+        for v in base:
+            name = v.get("name") if isinstance(v, dict) else None
+            if name in named:
+                check_value(v, named[name], f"versions[{name}]", errors)
+    elif isinstance(base, list):
+        for i, value in enumerate(base):
+            if i < len(cand):
+                check_value(value, cand[i], f"{path}[{i}]", errors)
+            else:
+                errors.append(
+                    f"{path}[{i}] is in the baseline but not the candidate"
+                )
 
 
-def check_serving(doc: dict, path: str, rep: "Report") -> None:
-    """Validate the top-level "serving" object against SERVING_FIELDS.
-
-    Every bench emits the object (all-zero for non-serving benches), so a
-    missing object or a missing/non-numeric field is a hard schema error.
-    """
-    sv = doc.get("serving")
-    if not isinstance(sv, dict):
-        rep.errors.append(
-            f"{path}: top-level 'serving' object is missing or not an "
-            f"object (the bench emitter always writes one)"
-        )
-        return
-    for field in SERVING_FIELDS:
-        if field not in sv:
-            rep.errors.append(
-                f"{path}: serving field '{field}' is missing — renamed or "
-                f"dropped? The serving-schema gate cannot run without it."
-            )
-        elif not isinstance(sv[field], (int, float)) or isinstance(
-            sv[field], bool
-        ):
-            rep.errors.append(
-                f"{path}: serving field '{field}' is {sv[field]!r}, "
-                f"not a number"
-            )
+def number(version: dict, key: str) -> float | None:
+    value = version.get(key)
+    return float(value) if json_type(value) == "number" else None
 
 
-def check_partition(doc: dict, path: str, rep: "Report") -> None:
-    """Validate the top-level "partition" object against PARTITION_FIELDS.
-
-    Every bench emits the object (all-zero for benches that skip the k-way
-    comparison), so a missing object or a missing/non-numeric field is a
-    hard schema error.
-    """
-    pt = doc.get("partition")
-    if not isinstance(pt, dict):
-        rep.errors.append(
-            f"{path}: top-level 'partition' object is missing or not an "
-            f"object (the bench emitter always writes one)"
-        )
-        return
-    for field in PARTITION_FIELDS:
-        if field not in pt:
-            rep.errors.append(
-                f"{path}: partition field '{field}' is missing — renamed or "
-                f"dropped? The partition-schema gate cannot run without it."
-            )
-        elif not isinstance(pt[field], (int, float)) or isinstance(
-            pt[field], bool
-        ):
-            rep.errors.append(
-                f"{path}: partition field '{field}' is {pt[field]!r}, "
-                f"not a number"
-            )
-
-
-def phase_totals(version: dict) -> dict[str, float] | None:
-    rows = version.get("phases")
-    if not isinstance(rows, list) or not rows:
-        return None
-    return {f: sum(float(r.get(f, 0.0)) for r in rows) for f in PHASE_FIELDS}
+def phase_totals(rows: object, keys: list[str]) -> dict[str, float]:
+    rows = rows if isinstance(rows, list) else []
+    return {
+        k: sum(float(r[k]) for r in rows
+               if isinstance(r, dict) and json_type(r.get(k)) == "number")
+        for k in keys
+    }
 
 
 class Report:
@@ -225,11 +137,13 @@ class Report:
     def compare_time(
         self,
         label: str,
-        base: float,
-        cand: float,
+        base: float | None,
+        cand: float | None,
         threshold_pct: float,
         min_seconds: float,
     ) -> None:
+        if base is None or cand is None:
+            return  # a missing or non-numeric time is a key-rule error
         if base < min_seconds and cand < min_seconds:
             return
         limit = base * (1.0 + threshold_pct / 100.0)
@@ -280,12 +194,7 @@ def main() -> int:
     cand_vs = versions_by_name(cand_doc, args.candidate)
 
     rep = Report()
-    check_failover(base_doc, args.baseline, rep)
-    check_failover(cand_doc, args.candidate, rep)
-    check_serving(base_doc, args.baseline, rep)
-    check_serving(cand_doc, args.candidate, rep)
-    check_partition(base_doc, args.baseline, rep)
-    check_partition(cand_doc, args.candidate, rep)
+    check_value(base_doc, cand_doc, "", rep.errors)
     for key in ("figure", "app", "scale"):
         if base_doc.get(key) != cand_doc.get(key):
             rep.errors.append(
@@ -302,67 +211,35 @@ def main() -> int:
 
     for name in sorted(set(base_vs) & set(cand_vs)):
         b, c = base_vs[name], cand_vs[name]
-
-        bt, ct = b.get("totals", {}), c.get("totals", {})
-        for side, totals, path in (
-            ("baseline", bt, args.baseline),
-            ("candidate", ct, args.candidate),
-        ):
-            if not isinstance(totals, dict):
-                rep.errors.append(
-                    f"{name}: 'totals' in the {side} ({path}) is "
-                    f"{type(totals).__name__}, not an object"
-                )
+        bt, ct = b.get("totals"), c.get("totals")
         if isinstance(bt, dict) and isinstance(ct, dict):
-            for counter in WORKLOAD_COUNTERS:
-                in_b, in_c = counter in bt, counter in ct
-                if in_b != in_c:
-                    present = "baseline" if in_b else "candidate"
-                    absent = "candidate" if in_b else "baseline"
+            for counter, value in bt.items():
+                if counter in ct and ct[counter] != value:
                     rep.errors.append(
-                        f"{name}: counter '{counter}' exists in the {present} "
-                        f"but not the {absent} — renamed or dropped? The "
-                        f"workload-drift check cannot run without it."
-                    )
-                elif in_b and bt[counter] != ct[counter]:
-                    rep.errors.append(
-                        f"{name}: workload drift — {counter} "
-                        f"{bt[counter]} -> {ct[counter]} (same scale should "
-                        f"give identical counters; timings are not comparable)"
+                        f"versions[{name}].totals.{counter}: workload drift "
+                        f"{value} -> {ct[counter]} (same scale should give "
+                        f"identical counters; timings are not comparable)"
                     )
 
-        def time_field(version: dict, side: str, field: str) -> float:
-            raw = version.get(field, 0.0)
-            try:
-                return float(raw)
-            except (TypeError, ValueError):
-                rep.errors.append(
-                    f"{name}: '{field}' in the {side} is {raw!r}, not a number"
-                )
-                return 0.0
+        for key in ("exec_s", "comm_s"):
+            rep.compare_time(
+                f"{name} {key}",
+                number(b, key),
+                number(c, key),
+                args.threshold,
+                args.min_seconds,
+            )
 
-        rep.compare_time(
-            f"{name} exec_s",
-            time_field(b, "baseline", "exec_s"),
-            time_field(c, "candidate", "exec_s"),
-            args.threshold,
-            args.min_seconds,
-        )
-        rep.compare_time(
-            f"{name} comm_s",
-            time_field(b, "baseline", "comm_s"),
-            time_field(c, "candidate", "comm_s"),
-            args.threshold,
-            args.min_seconds,
-        )
-
-        bp, cp = phase_totals(b), phase_totals(c)
-        if bp is not None and cp is not None:
-            for field in PHASE_FIELDS:
+        rows = b.get("phases")
+        if isinstance(rows, list) and rows and isinstance(rows[0], dict):
+            keys = [k for k in rows[0] if k != PHASE_ROW_INDEX]
+            bp = phase_totals(rows, keys)
+            cp = phase_totals(c.get("phases"), keys)
+            for k in keys:
                 rep.compare_time(
-                    f"{name} phase:{field}",
-                    bp[field],
-                    cp[field],
+                    f"{name} phase:{k}",
+                    bp[k],
+                    cp[k],
                     args.phase_threshold,
                     args.min_seconds,
                 )

@@ -1,6 +1,7 @@
 // Ablation: dynamic-scheduler chunk size (paper §IV-D: "a thread can obtain
-// multiple tasks each time" to lower the retrieval frequency) and the
-// spinlock primitive underpinning the runtime's fine-grained locking.
+// multiple tasks each time" to lower the retrieval frequency), the thread
+// team's per-phase fork/join cost, and the spinlock primitive underpinning
+// the runtime's fine-grained locking.
 #include <benchmark/benchmark.h>
 
 #include <thread>
@@ -34,6 +35,13 @@ void bm_chunk_size(benchmark::State& state) {
       static_cast<double>(scheduler.retrievals());
 }
 
+// The fork/join cost of one superstep phase: a run() whose job does
+// nothing, on a team of range(0) slots.
+void bm_team_run_empty(benchmark::State& state) {
+  sched::ThreadTeam team(static_cast<int>(state.range(0)));
+  for (auto _ : state) team.run([](int) {});
+}
+
 void bm_spinlock_uncontended(benchmark::State& state) {
   sched::SpinLock lock;
   std::uint64_t x = 0;
@@ -58,6 +66,7 @@ void bm_spinlock_contended(benchmark::State& state) {
 
 BENCHMARK(bm_chunk_size)->Arg(1)->Arg(16)->Arg(64)->Arg(512)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_team_run_empty)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 BENCHMARK(bm_spinlock_uncontended);
 BENCHMARK(bm_spinlock_contended)->Threads(1)->Threads(4);
 

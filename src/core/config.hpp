@@ -34,7 +34,9 @@ struct EngineConfig {
 
   /// Computation threads. In pipelining mode these are the workers and
   /// `movers` more threads are added (paper's MIC sweet spot: 180 workers +
-  /// 60 movers); in the other modes this is the whole team.
+  /// 60 movers); in the other modes this is the whole team. The thread that
+  /// drives run() is slot 0 of the team's total_threads() slots (worker 0
+  /// when pipelining), so an engine starts total_threads() - 1 team threads.
   int threads = 4;
   int movers = 2;
 

@@ -30,12 +30,12 @@
 // thread team, and every phase streams event counters into the run trace
 // consumed by the performance model.
 //
-// Fault tolerance (DESIGN.md §6): exceptions escaping the three user
-// callbacks on team threads are captured and rethrown on the orchestrator
-// (a team thread letting one escape would std::terminate). On heterogeneous
-// runs the orchestrator converts any such fault into an AllToAll poison —
-// the peer wakes immediately with a structured FaultReport — and run()
-// returns with RunResult::failed set instead of crashing. Peer exchanges
+// Fault tolerance (DESIGN.md §6): an exception escaping one of the three
+// user callbacks on any team slot leaves ThreadTeam::run() on the
+// orchestrator once the other slots have joined. On heterogeneous runs the
+// orchestrator converts any such fault into an AllToAll poison — the peer
+// wakes immediately with a structured FaultReport — and run() returns with
+// RunResult::failed set instead of crashing. Peer exchanges
 // are deadline-bounded, and an optional checkpoint store snapshots
 // values + frontier + superstep at BSP boundaries for CPU-only failover.
 #pragma once
@@ -44,7 +44,6 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -620,23 +619,6 @@ class DeviceEngine {
     return f;
   }
 
-  /// Run a job on the team, capturing the first exception any worker throws
-  /// and rethrowing it on the orchestrator after the join — a team thread
-  /// letting an exception escape would std::terminate the process.
-  template <typename Job>
-  void team_run_guarded(Job&& job) {
-    std::exception_ptr first;
-    std::mutex emu;
-    team_->run([&](int tid) {
-      try {
-        job(tid);
-      } catch (...) {
-        std::lock_guard<std::mutex> g(emu);
-        if (!first) first = std::current_exception();
-      }
-    });
-    if (first) std::rethrow_exception(first);
-  }
   // Per-thread counters, cache-line separated. The CSB tallies its inserts
   // in `ins`; collect_counters() folds them into the superstep's counters.
   struct alignas(64) ThreadStats {
@@ -899,7 +881,7 @@ class DeviceEngine {
     const std::size_t nverts =
         Program::kAllActive ? 0 : prev_frontier_.size();
     sched_.reset(dirty + nverts, cfg_.sched_chunk);
-    team_run_guarded([&](int) {
+    team_->run([&](int) {
       while (auto r = sched_.next_chunk()) {
         for (std::size_t i = r->begin; i < r->end; ++i) {
           if (i < dirty) {
@@ -954,20 +936,20 @@ class DeviceEngine {
 
     switch (cfg_.mode) {
       case ExecMode::kLocking:
-        team_run_guarded([&](int tid) {
+        team_->run([&](int tid) {
           LockingSink sink{this, &tstats_[static_cast<std::size_t>(tid)]};
           worker_body(tid, sink);
         });
         break;
       case ExecMode::kPipelining:
         pipe_->reset();
-        team_run_guarded([&](int tid) {
+        team_->run([&](int tid) {
           auto& ts = tstats_[static_cast<std::size_t>(tid)];
           if (tid < cfg_.threads) {
             PipelineSink sink{this, &ts, tid};
             // A worker dying without worker_done() would spin the movers
             // forever inside this very team run — always signal completion,
-            // then let the guard surface the fault.
+            // then let run() surface the fault.
             try {
               worker_body(tid, sink);
             } catch (...) {
@@ -996,7 +978,7 @@ class DeviceEngine {
         });
         break;
       case ExecMode::kOmpStyle:
-        team_run_guarded([&](int tid) {
+        team_->run([&](int tid) {
           OmpSink sink{this, &tstats_[static_cast<std::size_t>(tid)]};
           worker_body(tid, sink);
         });
@@ -1034,7 +1016,7 @@ class DeviceEngine {
       }
       if constexpr (HasPullSource<Program>) {
         sched_.reset(static_cast<std::size_t>(n), cfg_.sched_chunk);
-        team_run_guarded([&](int) {
+        team_->run([&](int) {
           while (auto r = sched_.next_chunk())
             for (std::size_t i = r->begin; i < r->end; ++i) {
               const vid_t u = static_cast<vid_t>(i);
@@ -1059,7 +1041,7 @@ class DeviceEngine {
     const bool weighted = in_edges_->has_edge_values();
     sched_.reset(static_cast<std::size_t>(lg_.num_local_vertices()),
                  cfg_.sched_chunk);
-    team_run_guarded([&](int tid) {
+    team_->run([&](int tid) {
       auto& ts = tstats_[static_cast<std::size_t>(tid)];
       PG_TRACE_SCOPE(kPullScan, superstep, rank());
       while (auto r = sched_.next_chunk()) {
@@ -1296,7 +1278,7 @@ class DeviceEngine {
                                                    offset[lo]);
     }
     sched_.reset(nshards, 1);
-    team_run_guarded([&](int) {
+    team_->run([&](int) {
       while (auto r = sched_.next_chunk()) {
         for (std::size_t s = r->begin; s < r->end; ++s) {
           const std::size_t dst_rank = s / spr;
@@ -1324,7 +1306,7 @@ class DeviceEngine {
       precombine(incoming);
 
     sched_.reset(incoming.size(), cfg_.sched_chunk);
-    team_run_guarded([&](int tid) {
+    team_->run([&](int tid) {
       auto& ts = tstats_[static_cast<std::size_t>(tid)];
       while (auto r = sched_.next_chunk()) {
         for (std::size_t i = r->begin; i < r->end; ++i) {
@@ -1368,7 +1350,7 @@ class DeviceEngine {
     // Only groups that received messages this superstep hold work.
     const std::size_t tasks = csb_->num_dirty_array_tasks();
     sched_.reset(tasks, cfg_.sched_chunk);
-    team_run_guarded([&](int tid) {
+    team_->run([&](int tid) {
       auto& ts = tstats_[static_cast<std::size_t>(tid)];
       while (auto r = sched_.next_chunk()) {
         for (std::size_t t = r->begin; t < r->end; ++t) {
@@ -1448,7 +1430,7 @@ class DeviceEngine {
       // result, and clear each flag here so prepare() need not scan all n.
       const vid_t n = lg_.num_local_vertices();
       sched_.reset(n, cfg_.sched_chunk);
-      team_run_guarded([&](int tid) {
+      team_->run([&](int tid) {
         auto& ts = tstats_[static_cast<std::size_t>(tid)];
         while (auto r = sched_.next_chunk()) {
           for (std::size_t i = r->begin; i < r->end; ++i) {
@@ -1465,7 +1447,7 @@ class DeviceEngine {
     } else {
       const std::size_t tasks = csb_->num_dirty_array_tasks();
       sched_.reset(tasks, cfg_.sched_chunk);
-      team_run_guarded([&](int tid) {
+      team_->run([&](int tid) {
         auto& ts = tstats_[static_cast<std::size_t>(tid)];
         while (auto r = sched_.next_chunk()) {
           for (std::size_t t = r->begin; t < r->end; ++t) {

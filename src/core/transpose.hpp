@@ -3,7 +3,7 @@
 // Over the whole graph it produces exactly the arrays of Csr::reversed() —
 // the same offsets, the same in-neighbor order (ascending source id,
 // parallel edges in out-edge order) and the same edge values — using every
-// thread of a ThreadTeam. A rank of a cluster builds only the rows of the
+// slot of a ThreadTeam. A rank of a cluster builds only the rows of the
 // vertices it owns: a row map sends each destination to its local row or
 // drops it, and the sources stay global ids in the same ascending order.
 // The row range is split into one contiguous slice per thread, balanced by

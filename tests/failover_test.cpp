@@ -278,7 +278,7 @@ class ShotThrowOnRank : public Base {
 // newest common checkpoint frame and resumes ALL THREE ranks — no
 // repartition, no single-device rerun — and the resumed run's BFS levels
 // are bit-identical to the fault-free answer.
-TEST(RecoveryLadder, TransientFaultRespawnsAllRanks) {
+void transient_fault_respawns_all_ranks(const EngineConfig& base) {
   phigraph::testing::Watchdog dog(std::chrono::seconds(300));
   const auto g = test_graph();
   constexpr int kRanks = 3;
@@ -292,7 +292,7 @@ TEST(RecoveryLadder, TransientFaultRespawnsAllRanks) {
                                         /*transient=*/true);
   std::vector<EngineConfig> cfgs;
   for (int r = 0; r < kRanks; ++r) {
-    auto c = cpu_cfg();
+    auto c = base;
     if (r == kVictim) c.threads = 1;  // exactly one fire per epoch
     c.checkpoint.interval = kInterval;
     c.retry.backoff_ms = 0;  // keep the test fast
@@ -322,6 +322,17 @@ TEST(RecoveryLadder, TransientFaultRespawnsAllRanks) {
   ASSERT_EQ(res.global_values.size(), classic.size());
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     ASSERT_EQ(res.global_values[v], classic[v]) << "vertex " << v;
+}
+
+TEST(RecoveryLadder, TransientFaultRespawnsAllRanks) {
+  transient_fault_respawns_all_ranks(cpu_cfg());
+}
+
+// The respawned ranks run on fresh host threads, and the thread driving a
+// rank is slot 0 of its team, which is pipeline worker 0: the checked build
+// holds the orchestrator and pipeline affinity contracts across the respawn.
+TEST(RecoveryLadder, TransientFaultRespawnsPipeliningRanks) {
+  transient_fault_respawns_all_ranks(mic_cfg());
 }
 
 // Retry budget: a transient fault that re-fires on every respawn exhausts

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -97,6 +99,71 @@ TEST(ThreadTeam, DistinctThreadIds) {
   team.run([&](int tid) { ids[static_cast<std::size_t>(tid)] = std::this_thread::get_id(); });
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+TEST(ThreadTeam, SlotZeroRunsOnTheCallingThread) {
+  for (int size : {1, 4}) {
+    sched::ThreadTeam team(size);
+    std::vector<std::thread::id> ids(static_cast<std::size_t>(size));
+    team.run([&](int slot) {
+      ids[static_cast<std::size_t>(slot)] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ids[0], std::this_thread::get_id()) << "size " << size;
+    for (int slot = 1; slot < size; ++slot)
+      EXPECT_NE(ids[static_cast<std::size_t>(slot)], std::this_thread::get_id())
+          << "size " << size << " slot " << slot;
+  }
+}
+
+TEST(ThreadTeam, WorkerSlotExceptionReachesTheCaller) {
+  sched::ThreadTeam team(4);
+  try {
+    team.run([](int slot) {
+      if (slot == 2) throw std::runtime_error("slot 2 failed");
+    });
+    FAIL() << "run() returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "slot 2 failed");
+  }
+  // The team survives the fault: the next run reaches every slot.
+  std::atomic<int> hits{0};
+  team.run([&](int) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 4);
+}
+
+TEST(ThreadTeam, SlotZeroExceptionLeavesAfterTheJoin) {
+  for (int size : {2, 4}) {
+    sched::ThreadTeam team(size);
+    std::atomic<bool> slot1_done{false};
+    try {
+      team.run([&](int slot) {
+        if (slot == 0) throw std::runtime_error("slot 0 failed");
+        if (slot == 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          slot1_done.store(true);
+        }
+      });
+      FAIL() << "run() returned normally";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "slot 0 failed");
+      EXPECT_TRUE(slot1_done.load()) << "size " << size;
+    }
+  }
+}
+
+TEST(ThreadTeam, NestedRunIsNotReentrant) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (int size : {1, 4}) {
+    EXPECT_DEATH(
+        {
+          sched::ThreadTeam team(size);
+          team.run([&](int slot) {
+            if (slot == 0) team.run([](int) {});
+          });
+        },
+        "not reentrant")
+        << "size " << size;
+  }
 }
 
 }  // namespace

@@ -182,6 +182,7 @@ DeviceRunResult<Program> run_device(const graph::Csr& g, const Program& prog,
   core::DeviceEngine<Program> engine(core::LocalGraph::whole(g), prog,
                                      setup.engine);
   auto run = engine.run();
+  PG_CHECK_MSG(!run.failed, "bench device run failed");
   DeviceRunResult<Program> out;
   out.modeled = sim::model_run(run.trace, setup.spec, setup.profile);
   out.trace = std::move(run.trace);

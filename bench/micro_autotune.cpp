@@ -32,6 +32,7 @@ void tune_app(const char* name, const graph::Csr& g, const Program& prog,
   core::DeviceEngine<Program> probe(core::LocalGraph::whole(g), prog,
                                     setup.engine);
   const auto run = probe.run();
+  PG_CHECK_MSG(!run.failed, "autotune probe run failed");
 
   std::printf("   mover-split cost curve (240 MIC threads):\n");
   for (int movers : {20, 40, 60, 80, 120}) {

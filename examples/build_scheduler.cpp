@@ -27,23 +27,23 @@ int main(int argc, char** argv) {
   cfg.threads = 2;
   cfg.movers = 2;
 
-  auto res = core::run_single(g, apps::TopoSort{}, cfg);
+  const auto res = core::ClusterEngine(g, apps::TopoSort{}, {cfg}).run();
+  const auto& order = res.global_values;
 
   // Group targets into build waves by topological order.
   std::int32_t max_order = 0;
-  for (vid_t v = 0; v < n; ++v)
-    max_order = std::max(max_order, res.values[v].order);
+  for (vid_t v = 0; v < n; ++v) max_order = std::max(max_order, order[v].order);
   std::vector<vid_t> wave_size(static_cast<std::size_t>(max_order) + 1, 0);
   for (vid_t v = 0; v < n; ++v) {
-    if (res.values[v].order < 0) {
+    if (order[v].order < 0) {
       std::printf("cycle detected involving target %u!\n", v);
       return 1;
     }
-    ++wave_size[static_cast<std::size_t>(res.values[v].order)];
+    ++wave_size[static_cast<std::size_t>(order[v].order)];
   }
 
   std::printf("schedule: %d waves over %d supersteps\n", max_order + 1,
-              res.run.supersteps);
+              res.ranks[0].supersteps);
   vid_t widest = 0;
   for (std::size_t w = 0; w < wave_size.size(); ++w) {
     if (w < 6 || w + 3 > wave_size.size())

@@ -30,13 +30,14 @@ int main(int argc, char** argv) {
   cfg.max_supersteps = 6;
 
   const apps::SemiClustering program(/*f_boundary=*/0.2f);
-  auto res = core::run_single(g, program, cfg);
+  const auto res = core::ClusterEngine(g, program, {cfg}).run();
+  const auto& lists = res.global_values;
 
   std::printf("ran %d supersteps; sample semi-clusters:\n",
-              res.run.supersteps);
+              res.ranks[0].supersteps);
   int shown = 0;
   for (vid_t v = 0; v < n && shown < 8; ++v) {
-    const auto& list = res.values[v];
+    const auto& list = lists[v];
     if (list.count == 0 || list.clusters[0].size < 3) continue;
     const auto& c = list.clusters[0];
     std::printf("  author %5u: cluster {", v);
@@ -51,8 +52,7 @@ int main(int argc, char** argv) {
   // Aggregate: how many distinct top clusters of each size emerged.
   std::map<std::uint32_t, int> size_histogram;
   for (vid_t v = 0; v < n; ++v)
-    if (res.values[v].count > 0)
-      ++size_histogram[res.values[v].clusters[0].size];
+    if (lists[v].count > 0) ++size_histogram[lists[v].clusters[0].size];
   std::printf("top-cluster size histogram:\n");
   for (const auto& [size, count] : size_histogram)
     std::printf("  size %u: %d authors\n", size, count);

@@ -202,34 +202,33 @@ core::EngineConfig make_cfg(const Options& o, int default_iters) {
 template <typename Program, typename Format>
 int run_app(const Options& o, const graph::Csr& g, const Program& prog,
             int default_iters, Format&& format) {
-  std::vector<typename Program::vertex_value_t> values;
-  int supersteps = 0;
-  metrics::SuperstepCounters totals{};
+  // One device unless --hetero; then all five schemes flow through the
+  // k-way dispatcher with k = 2: rank 0 is the CPU, rank 1 the MIC,
+  // weighted by --ratio.
+  std::vector<int> owner(g.num_vertices(), 0);
+  std::vector<core::EngineConfig> cfgs{make_cfg(o, default_iters)};
   if (o.hetero) {
-    // All five schemes flow through the k-way dispatcher with k = 2: rank 0
-    // is the CPU, rank 1 the MIC, weighted by --ratio.
-    auto owner = o.partition_path.empty()
-                     ? partition::make_partition_k(o.scheme, g, o.ratio)
-                     : partition::load_partition(o.partition_path,
-                                                 g.num_vertices(), 2);
+    owner = o.partition_path.empty()
+                ? partition::make_partition_k(o.scheme, g, o.ratio)
+                : partition::load_partition(o.partition_path,
+                                            g.num_vertices(), 2);
     if (!o.partition_out.empty())
       partition::save_partition(owner, o.partition_out);
-    auto cpu_cfg = make_cfg(o, default_iters);
-    cpu_cfg.simd_bytes = simd::kCpuSimdBytes;
-    auto mic_cfg = make_cfg(o, default_iters);
-    mic_cfg.simd_bytes = simd::kMicSimdBytes;
-    core::ClusterEngine<Program> engine(g, std::move(owner), prog,
-                                        {cpu_cfg, mic_cfg});
-    auto res = engine.run();
-    values = std::move(res.global_values);
-    supersteps = res.ranks[0].supersteps;
-    totals = metrics::totals(res.ranks[0].trace);
-  } else {
-    auto res = core::run_single(g, prog, make_cfg(o, default_iters));
-    values = std::move(res.values);
-    supersteps = res.run.supersteps;
-    totals = metrics::totals(res.run.trace);
+    cfgs.push_back(cfgs[0]);
+    cfgs[0].simd_bytes = simd::kCpuSimdBytes;
+    cfgs[1].simd_bytes = simd::kMicSimdBytes;
   }
+  core::ClusterEngine<Program> engine(g, std::move(owner), prog,
+                                      std::move(cfgs));
+  const auto res = engine.run();
+  if (!res.completed) {
+    std::fprintf(stderr, "phigraph_run: run failed: %s\n",
+                 res.fault.to_string().c_str());
+    return 1;
+  }
+  const auto& values = res.global_values;
+  const int supersteps = res.ranks[0].supersteps;
+  const auto totals = metrics::totals(res.ranks[0].trace);
   std::printf(
       "ran %s on %u vertices / %llu edges: %d supersteps "
       "(%llu sparse, %llu dense, %llu pull; %llu direction flips)\n",

@@ -37,15 +37,17 @@ int main() {
   //    src/apps/sssp.hpp and follow the paper's Listing 1).
   const apps::Sssp program(/*source=*/0);
 
-  // 4. Run to convergence and read the per-vertex distances.
-  auto result = core::run_single(g, program, cfg);
+  // 4. Run to convergence and read the per-vertex distances. One config is
+  //    one device; give one config per rank to split the graph over ranks.
+  const auto result = core::ClusterEngine(g, program, {cfg}).run();
 
-  std::printf("SSSP from vertex 0 (%d supersteps):\n", result.run.supersteps);
+  std::printf("SSSP from vertex 0 (%d supersteps):\n",
+              result.ranks[0].supersteps);
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    if (result.values[v] == apps::Sssp::kInfinity)
+    if (result.global_values[v] == apps::Sssp::kInfinity)
       std::printf("  vertex %u: unreachable\n", v);
     else
-      std::printf("  vertex %u: distance %.1f\n", v, result.values[v]);
+      std::printf("  vertex %u: distance %.1f\n", v, result.global_values[v]);
   }
 
   // Expected: 0 -> 0.0, 1 -> 1.0, 2 -> 4.0, 3 -> 3.0, 4 -> 3.5

@@ -490,7 +490,10 @@ class Csb {
   // the groups that actually received messages.
   std::unique_ptr<sync::Atomic<std::uint8_t>[]> group_dirty_;
   std::vector<std::size_t> dirty_groups_;  // first dirty_count_ entries valid
-  sync::Atomic<std::size_t> dirty_count_{0};
+  // On its own cache line: any thread that dirties a group bumps this
+  // counter, and every insert reads group_dirty_ on its fast path, so the
+  // two must never share a line, whatever the enclosing engine's layout.
+  alignas(64) sync::Atomic<std::size_t> dirty_count_{0};
 
 #if PG_AUDIT_ENABLED
   // Checked build only: per-column mover thread id (-1 = unclaimed), reset

@@ -7,7 +7,6 @@
 #include "src/core/direction.hpp"
 #include "src/fault/checkpoint.hpp"
 #include "src/fault/fault.hpp"
-#include "src/partition/scheme.hpp"
 #include "src/simd/simd.hpp"
 
 namespace phigraph::core {
@@ -75,8 +74,9 @@ struct EngineConfig {
   /// per superstep, except that all-active programs (PageRank) pull every
   /// superstep at any rank count; kForcePush reproduces the pre-direction
   /// engine exactly (the CSB path); kForcePull pulls every superstep.
-  /// Non-pullable programs always push, and so do traversals on a rank
-  /// with peers (a gather there would need remote frontier bits).
+  /// Non-pullable programs always push, and so do traversals in a cluster
+  /// of two or more ranks (a gather there would need remote frontier
+  /// bits); a 1-rank cluster is one device and pulls like one.
   DirectionMode direction_mode = DirectionMode::kAuto;
 
   /// Shards for the remote buffer's touched lists: deposits contend per
@@ -125,23 +125,6 @@ struct EngineConfig {
   /// Fixed superstep count for personalized-PageRank jobs (PPR terminates by
   /// iteration count, like PageRank).
   int serve_ppr_supersteps = 10;
-
-  /// Partition scheme for ClusterEngine's owner-deriving constructor (the
-  /// one that takes no explicit owner map): vertex→rank assignments come
-  /// from this scheme with each rank weighted by its thread budget. Read
-  /// from rank 0's config, like `retry` — partitioning is a cluster-level
-  /// decision. Engines given an explicit owner map ignore it.
-  partition::Scheme partition_scheme = partition::Scheme::kRoundRobin;
-
-  /// Knobs for the streaming vertex-cut schemes (kHdrf / kDbh): λ, the hard
-  /// balance slack, the hash seed, and the streamed chunk granularity.
-  partition::StreamOptions stream_partition;
-
-  /// Worker threads for the single-device recovery engine (ladder rung 3).
-  /// 0 = size it from the combined thread budgets of every rank — the dead
-  /// cluster's whole allotment is free, so the rerun should use the whole
-  /// machine. Tests that need a deterministic recovery pin this to 1.
-  int recovery_threads = 0;
 
   [[nodiscard]] int total_threads() const noexcept {
     return mode == ExecMode::kPipelining ? threads + movers : threads;

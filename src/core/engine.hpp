@@ -32,10 +32,10 @@
 //
 // Fault tolerance (DESIGN.md §6): an exception escaping one of the three
 // user callbacks on any team slot leaves ThreadTeam::run() on the
-// orchestrator once the other slots have joined. On heterogeneous runs the
-// orchestrator converts any such fault into an AllToAll poison — the peer
-// wakes immediately with a structured FaultReport — and run() returns with
-// RunResult::failed set instead of crashing. Peer exchanges
+// orchestrator once the other slots have joined. The orchestrator turns any
+// such fault into a structured FaultReport, and run() returns with
+// RunResult::failed set instead of throwing; an engine with peers also
+// poisons the AllToAll channels, so they wake immediately. Peer exchanges
 // are deadline-bounded, and an optional checkpoint store snapshots
 // values + frontier + superstep at BSP boundaries for CPU-only failover.
 #pragma once
@@ -95,9 +95,9 @@ struct RunResult {
   /// Per-peer exchange traffic (bytes to / from each other rank), sized by
   /// the run's rank count. Single-device runs carry one all-zero entry.
   metrics::RankIo io;
-  /// Heterogeneous runs only: a device fault — this rank's own (converted to
-  /// a peer poison) or the peer's (observed through the exchange) — ended
-  /// the run early. `fault` names the origin rank either way.
+  /// A device fault — this rank's own, or a peer's observed through the
+  /// exchange — ended the run early. `fault` names the origin rank either
+  /// way (rank 0 on an engine without peers).
   bool failed = false;
   fault::FaultReport fault;
 };
@@ -297,11 +297,10 @@ class DeviceEngine {
 
   /// Executes supersteps to completion and returns the run trace.
   ///
-  /// Heterogeneous runs never throw from here: a fault in this rank poisons
-  /// the peer and returns with `failed` set; a fault in the peer is observed
-  /// through the exchange and likewise returns with `failed` set (carrying
-  /// the peer's FaultReport). Single-device runs rethrow user-program
-  /// exceptions on the calling thread.
+  /// Never throws: a fault in this engine ends the run with `failed` set and
+  /// a FaultReport naming this rank (and poisons the channels when it has
+  /// peers); a fault in a peer is observed through the exchange and likewise
+  /// returns with `failed` set, carrying the peer's FaultReport.
   RunResult run() {
     PG_TRACE_THREAD_NAME(rank() == 0   ? "cpu-orchestrator"
                          : rank() == 1 ? "mic-orchestrator"
@@ -319,19 +318,15 @@ class DeviceEngine {
       try {
         out = superstep(s, res);
       } catch (const fault::FaultInjected& e) {
-        if (!peer_) throw;
         fail_run(res, s, e.what(), e.kind);
         break;
       } catch (const fault::TransientError& e) {
-        if (!peer_) throw;
         fail_run(res, s, e.what(), fault::FaultKind::kTransient);
         break;
       } catch (const std::exception& e) {
-        if (!peer_) throw;
         fail_run(res, s, e.what(), fault::FaultKind::kPermanent);
         break;
       } catch (...) {
-        if (!peer_) throw;
         fail_run(res, s, "unknown exception", fault::FaultKind::kPermanent);
         break;
       }
@@ -541,7 +536,8 @@ class DeviceEngine {
   }
 #endif
 
-  /// Convert a fault on this rank into a peer poison + failed RunResult.
+  /// Convert a fault on this rank into a failed RunResult (and a peer
+  /// poison, when there are peers to wake).
   void fail_run(RunResult& res, int s, const char* what,
                 fault::FaultKind kind) {
     fault::FaultReport rep;
@@ -550,8 +546,10 @@ class DeviceEngine {
     rep.phase = phase_;
     rep.what = what;
     rep.kind = kind;
-    peer_->data->poison(rank(), rep);
-    peer_->control->poison(rank(), rep);
+    if (peer_) {
+      peer_->data->poison(rank(), rep);
+      peer_->control->poison(rank(), rep);
+    }
     res.failed = true;
     res.fault = std::move(rep);
   }

@@ -6,13 +6,14 @@
 // device are separately configured" — wired by an all-to-all data exchange
 // and a termination-control exchange, rank 0 running on the calling thread
 // and every other rank on its own host thread. The paper's CPU+MIC
-// configuration is the two-rank case (CPU = rank 0, MIC = rank 1).
+// configuration is the two-rank case (CPU = rank 0, MIC = rank 1). A 1-rank
+// cluster is one DeviceEngine over the whole graph with no peer link: it
+// runs, pulls, counts and fails exactly like that engine.
 //
-// Fault tolerance (DESIGN.md §6/§12): the spawned rank threads are joined by
-// a scope guard, so an exception on the rank-0 path can no longer
-// std::terminate the process with a joinable thread in flight. When any rank
-// faults, run() walks a graceful-degradation recovery ladder instead of
-// collapsing straight to one device:
+// Fault tolerance (DESIGN.md §6/§12): DeviceEngine::run() never throws, and
+// the spawned rank threads are std::jthreads, joined on every exit path.
+// When any rank faults, run() walks a graceful-degradation recovery ladder
+// instead of collapsing straight to one device:
 //
 //   rung 1 — transient respawn: for a fault classified kTransient (timeouts,
 //     fault::TransientError, injected transient specs), rebuild the failed
@@ -53,35 +54,14 @@
 #include "src/fault/fault.hpp"
 #include "src/metrics/counters.hpp"
 #include "src/partition/partition.hpp"
-#include "src/partition/stream_partition.hpp"
 
 namespace phigraph::core {
-
-/// Joins every thread of a group on scope exit. Keeps run() exception-safe:
-/// std::thread's destructor calls std::terminate when the thread is still
-/// joinable, so without the guard any throw between spawn and join
-/// (user-program exception, PG_CHECK in a death test, ...) kills the whole
-/// process instead of unwinding.
-class ThreadGroupJoiner {
- public:
-  explicit ThreadGroupJoiner(std::vector<std::thread>& ts) noexcept
-      : ts_(ts) {}
-  ~ThreadGroupJoiner() {
-    for (auto& t : ts_)
-      if (t.joinable()) t.join();
-  }
-  ThreadGroupJoiner(const ThreadGroupJoiner&) = delete;
-  ThreadGroupJoiner& operator=(const ThreadGroupJoiner&) = delete;
-
- private:
-  std::vector<std::thread>& ts_;
-};
 
 /// N symmetric runtime instances over one graph: rank r owns the vertices
 /// with owner_rank[v] == r and runs under its own EngineConfig (the rank
 /// count is cfgs.size()). nranks == 2 is exactly the paper's CPU+MIC
-/// configuration; nranks == 1 degenerates to a single-device run behind the
-/// same interface.
+/// configuration; nranks == 1 is a single device: one engine over the whole
+/// graph, no peer link, values gathered by a plain copy.
 template <VertexProgram Program>
 class ClusterEngine {
  public:
@@ -141,41 +121,25 @@ class ClusterEngine {
     recovery_cfg_.checkpoint = {};
     // Size the rerun's team from the whole cluster's thread budget — the
     // dead cluster's full allotment is free, so the single-device fallback
-    // should use the whole machine, not rank 0's slice of it. An explicit
-    // recovery_threads pins the total instead (deterministic recoveries).
+    // should use the whole machine, not rank 0's slice of it.
     {
       int combined = 0;
       for (const EngineConfig& c : rank_cfgs) combined += c.total_threads();
-      const int budget = recovery_cfg_.recovery_threads > 0
-                             ? recovery_cfg_.recovery_threads
-                             : combined;
       recovery_cfg_.threads =
           recovery_cfg_.mode == ExecMode::kPipelining
-              ? std::max(1, budget - recovery_cfg_.movers)
-              : std::max(1, budget);
+              ? std::max(1, combined - recovery_cfg_.movers)
+              : std::max(1, combined);
     }
     build(cluster_);
   }
 
-  /// Scheme-deriving constructor: no explicit owner map — vertices are
-  /// assigned by rank 0's partition_scheme / stream_partition knobs, each
-  /// rank weighted by its thread budget (the same weighting the recovery
-  /// ladder's survivor repartition uses).
+  /// No explicit owner map: vertices are dealt round-robin, each rank
+  /// weighted by its thread budget (the same weighting the recovery
+  /// ladder's survivor repartition uses). With one config this is a
+  /// single-device run.
   ClusterEngine(const graph::Csr& g, Program prog,
                 const std::vector<EngineConfig>& cfgs)
-      : ClusterEngine(g, owner_from_scheme(g, cfgs), std::move(prog), cfgs) {}
-
-  /// The owner map the scheme-deriving constructor would build — exposed so
-  /// callers (tests, benches) can evaluate the same assignment they run.
-  [[nodiscard]] static std::vector<int> owner_from_scheme(
-      const graph::Csr& g, const std::vector<EngineConfig>& cfgs) {
-    PG_CHECK_MSG(!cfgs.empty(), "ClusterEngine needs at least one rank");
-    partition::RankWeights w;
-    w.reserve(cfgs.size());
-    for (const EngineConfig& c : cfgs) w.push_back(c.total_threads());
-    return partition::make_partition_k(cfgs.front().partition_scheme, g, w,
-                                       cfgs.front().stream_partition);
-  }
+      : ClusterEngine(g, budget_owner(g, cfgs), std::move(prog), cfgs) {}
 
   Result run() {
     Result res;
@@ -233,6 +197,15 @@ class ClusterEngine {
  private:
   using Engines = std::vector<std::unique_ptr<Engine>>;
 
+  static std::vector<int> budget_owner(const graph::Csr& g,
+                                       const std::vector<EngineConfig>& cfgs) {
+    PG_CHECK_MSG(!cfgs.empty(), "ClusterEngine needs at least one rank");
+    partition::RankWeights w;
+    w.reserve(cfgs.size());
+    for (const EngineConfig& c : cfgs) w.push_back(c.total_threads());
+    return partition::round_robin_partition_k(g, w);
+  }
+
   /// A set of ranks over the graph: its partition, each rank's config, the
   /// channels that wire the ranks together, and their engines. The full
   /// cluster is one; the survivors of a rung-2 repartition are another.
@@ -251,11 +224,17 @@ class ClusterEngine {
   };
 
   /// Build every engine of `rs` from its partition, or only rank `only`'s
-  /// (the others keep theirs); each joins rs's channels.
+  /// (the others keep theirs); each joins rs's channels. A lone rank is one
+  /// device: the whole graph, no peer link.
   void build(RankSet& rs, int only = -1) const {
     const int n = static_cast<int>(rs.cfgs.size());
-    auto parts = LocalGraph::split_n(*graph_, rs.owner, n);
     rs.engines.resize(static_cast<std::size_t>(n));
+    if (n == 1) {
+      rs.engines[0] = std::make_unique<Engine>(LocalGraph::whole(*graph_),
+                                               prog_, rs.cfgs[0]);
+      return;
+    }
+    auto parts = LocalGraph::split_n(*graph_, rs.owner, n);
     for (int r = 0; r < n; ++r) {
       if (only >= 0 && r != only) continue;
       const auto i = static_cast<std::size_t>(r);
@@ -266,13 +245,13 @@ class ClusterEngine {
   }
 
   /// One BSP epoch over a rank set: rank 0 on the calling thread, every
-  /// other rank on its own host thread, joined by a scope guard.
+  /// other rank on its own host thread, joined when `threads` goes out of
+  /// scope.
   static std::vector<RunResult> run_ranks(const RankSet& rs) {
     const Engines& engines = rs.engines;
     std::vector<RunResult> out(engines.size());
     {
-      std::vector<std::thread> threads;
-      ThreadGroupJoiner joiner(threads);
+      std::vector<std::jthread> threads;
       threads.reserve(engines.size() - 1);
       for (std::size_t r = 1; r < engines.size(); ++r)
         threads.emplace_back(
@@ -305,8 +284,13 @@ class ClusterEngine {
   }
 
   /// Scatter the vertex values of every rank of `rs` into `out`, indexed by
-  /// global id.
+  /// global id. A lone rank holds the whole graph: a plain copy.
   void gather(const RankSet& rs, std::vector<Value>& out) const {
+    if (rs.engines.size() == 1) {
+      const auto vals = rs.engines[0]->values();
+      out.assign(vals.begin(), vals.end());
+      return;
+    }
     out.resize(graph_->num_vertices());
     for (const auto& e : rs.engines) {
       const auto& lg = e->local_graph();
@@ -563,11 +547,10 @@ class ClusterEngine {
     }
     record_epoch(res, epoch_fault, resume, /*rung=*/3, rec.millis());
 
-    try {
-      res.recovery = engine.run();
-    } catch (const std::exception& e) {
+    res.recovery = engine.run();
+    if (res.recovery.failed) {
       res.completed = false;
-      res.fault.what += std::string("; recovery also failed: ") + e.what();
+      res.fault.what += "; recovery also failed: " + res.recovery.fault.what;
       return;
     }
     res.global_values.assign(engine.values().begin(), engine.values().end());
@@ -599,22 +582,5 @@ class ClusterEngine {
   fault::RetryPolicy retry_;
   RankSet cluster_;  // partition and configs kept for rebuilds
 };
-
-/// Convenience: run a program on the whole graph with one device config.
-template <VertexProgram Program>
-struct SingleDeviceResult {
-  RunResult run;
-  std::vector<typename Program::vertex_value_t> values;
-};
-
-template <VertexProgram Program>
-SingleDeviceResult<Program> run_single(const graph::Csr& g, Program prog,
-                                       const EngineConfig& cfg) {
-  DeviceEngine<Program> engine(LocalGraph::whole(g), std::move(prog), cfg);
-  SingleDeviceResult<Program> out;
-  out.run = engine.run();
-  out.values.assign(engine.values().begin(), engine.values().end());
-  return out;
-}
 
 }  // namespace phigraph::core

@@ -142,11 +142,11 @@ class QueryEngine {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Serve `g` with one engine per rank config (cfgs.size() == 1 runs
-  /// single-device; larger rank sets execute each batch over a round-robin
-  /// partitioned ClusterEngine, exactly like a standalone N-rank run). The
-  /// admission knobs (serve_queue_capacity / serve_batch_max /
-  /// serve_batch_wait_ms / serve_ppr_supersteps) are read from cfgs[0].
+  /// Serve `g` with one engine per rank config: each batch runs on a fresh
+  /// round-robin partitioned ClusterEngine, exactly like a standalone run
+  /// (one config is one device). The admission knobs
+  /// (serve_queue_capacity / serve_batch_max / serve_batch_wait_ms /
+  /// serve_ppr_supersteps) are read from cfgs[0].
   QueryEngine(const graph::Csr& g, std::vector<EngineConfig> cfgs)
       : g_(&g), cfgs_(std::move(cfgs)) {
     PG_CHECK_MSG(!cfgs_.empty(), "QueryEngine needs at least one rank config");
@@ -155,9 +155,8 @@ class QueryEngine {
                  "serve_batch_max must be in [1, 64]");
     PG_CHECK_MSG(cfgs_.front().serve_queue_capacity >= 1,
                  "serve_queue_capacity must be >= 1");
-    if (cfgs_.size() > 1)
-      owner_ = partition::round_robin_partition_k(
-          g, partition::RankWeights(cfgs_.size(), 1));
+    owner_ = partition::round_robin_partition_k(
+        g, partition::RankWeights(cfgs_.size(), 1));
     dispatcher_ = std::thread([this] { dispatch_loop(); });
   }
 
@@ -275,23 +274,13 @@ class QueryEngine {
     }
   }
 
-  /// Execute `prog` over the served graph: single-device for one rank
-  /// config, a fresh round-robin ClusterEngine otherwise. Returns the
-  /// global values; accumulates edge scans and supersteps.
+  /// Execute `prog` over the served graph on a fresh round-robin
+  /// ClusterEngine. Returns the global values; accumulates edge scans and
+  /// supersteps.
   template <VertexProgram Program>
   std::vector<typename Program::vertex_value_t> execute(
       const Program& prog, int max_supersteps, int& supersteps_out,
       std::uint64_t& scans_out) {
-    if (cfgs_.size() == 1) {
-      EngineConfig cfg = cfgs_.front();
-      cfg.max_supersteps = max_supersteps;
-      auto res = run_single(*g_, prog, cfg);
-      PG_CHECK_MSG(!res.run.failed, "serving batch run failed");
-      const auto t = metrics::totals(res.run.trace);
-      scans_out = t.edges_scanned + t.pull_edges_scanned;
-      supersteps_out = res.run.supersteps;
-      return std::move(res.values);
-    }
     std::vector<EngineConfig> cfgs = cfgs_;
     for (EngineConfig& c : cfgs) c.max_supersteps = max_supersteps;
     ClusterEngine<Program> ce(*g_, owner_, prog, std::move(cfgs));
@@ -380,7 +369,7 @@ class QueryEngine {
 
   const graph::Csr* g_;
   std::vector<EngineConfig> cfgs_;
-  std::vector<int> owner_;  // round-robin rank owner (multi-rank serving)
+  std::vector<int> owner_;  // round-robin rank owner
 
   mutable sync::Mutex mu_;
   sync::CondVar cv_nonempty_;  // queue gained a job (or stopping)

@@ -1,5 +1,5 @@
-// Partition scheme selection — a dependency-light header so EngineConfig can
-// name a scheme without pulling in the graph/partitioner machinery.
+// Partition scheme selection — a dependency-light header that names the
+// schemes without pulling in the graph/partitioner machinery.
 //
 // The static schemes (continuous / round-robin / hybrid) are the paper's
 // Fig. 6 trio; kHdrf and kDbh are the streaming vertex-cut partitioners

@@ -19,6 +19,7 @@
 // superstep wall clock).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -38,6 +39,7 @@
 #include "src/gen/generators.hpp"
 #include "src/graph/csr.hpp"
 #include "src/partition/partition.hpp"
+#include "src/partition/stream_partition.hpp"
 #include "watchdog.hpp"
 
 // Sanitized builds run the same battery at reduced depth: the instrumentation
@@ -225,10 +227,11 @@ void check_cell(const graph::Csr& g, const Program& prog, const Cell& c,
       ASSERT_EQ(res.global_values[v], ref[v]) << what << " vertex " << v;
   } else {
     const auto res =
-        core::run_single(g, prog, cell_cfg(c, simd::kCpuSimdBytes, salt));
-    ASSERT_EQ(res.values.size(), ref.size()) << what;
+        core::ClusterEngine(g, prog, {cell_cfg(c, simd::kCpuSimdBytes, salt)})
+            .run();
+    ASSERT_EQ(res.global_values.size(), ref.size()) << what;
     for (vid_t v = 0; v < g.num_vertices(); ++v)
-      ASSERT_EQ(res.values[v], ref[v]) << what << " vertex " << v;
+      ASSERT_EQ(res.global_values[v], ref[v]) << what << " vertex " << v;
   }
 }
 
@@ -290,9 +293,9 @@ TEST(DifferentialBattery, PageRankBitExactSingleWorker) {
       cfg.threads = 1;
       cfg.movers = 1;
       cfg.max_supersteps = 8;
-      const auto res = core::run_single(g, prog, cfg);
+      const auto res = core::ClusterEngine(g, prog, {cfg}).run();
       for (vid_t v = 0; v < g.num_vertices(); ++v)
-        ASSERT_EQ(res.values[v], ref[v])
+        ASSERT_EQ(res.global_values[v], ref[v])
             << family_name(fam) << " round " << round << " " << cell_name(c)
             << " vertex " << v;
     }
@@ -326,18 +329,19 @@ TEST(DifferentialBattery, PageRankPullBitExactAnyThreadsAndMode) {
           cfg.sched_chunk = 8;
           cfg.direction_mode = dir;
           cfg.max_supersteps = kSteps;
-          const auto res = core::run_single(g, prog, cfg);
+          const auto res = core::ClusterEngine(g, prog, {cfg}).run();
           const std::string what =
               std::string(family_name(fam)) + " round " +
               std::to_string(round) + " " + core::exec_mode_name(mode) +
               " threads=" + std::to_string(threads) + " " +
               core::direction_mode_name(dir);
-          ASSERT_EQ(metrics::totals(res.run.trace).pull_supersteps,
+          ASSERT_EQ(metrics::totals(res.ranks[0].trace).pull_supersteps,
                     static_cast<std::uint64_t>(kSteps))
               << what;
+          const auto& got = res.global_values;
           for (vid_t v = 0; v < g.num_vertices(); ++v) {
-            ASSERT_EQ(res.values[v], ref[v]) << what << " vertex " << v;
-            ASSERT_EQ(res.values[v], classic[v]) << what << " vertex " << v;
+            ASSERT_EQ(got[v], ref[v]) << what << " vertex " << v;
+            ASSERT_EQ(got[v], classic[v]) << what << " vertex " << v;
           }
         }
   }
@@ -515,19 +519,19 @@ void check_cluster_cell(const graph::Csr& g, const Program& prog,
   expect_cluster_bit_exact(g, prog, ce, nranks, what);
 }
 
-// Partition-scheme axis: the cluster is built through the scheme-deriving
-// constructor (no explicit owner map), exercising the EngineConfig →
-// make_partition_k → ClusterEngine wiring end-to-end.
+// Partition-scheme axis: the owner map comes from make_partition_k, each
+// rank weighted by its thread budget, so every scheme runs end to end.
 template <typename Program>
 void check_scheme_cell(const graph::Csr& g, const Program& prog, const Cell& c,
                        partition::Scheme scheme, int nranks,
                        std::uint64_t salt, const std::string& what) {
   auto cfgs = cluster_cfgs(c, nranks, salt);
-  for (auto& cfg : cfgs) {
-    cfg.partition_scheme = scheme;
-    cfg.stream_partition.seed = salt | 1;
-  }
-  core::ClusterEngine<Program> ce(g, prog, cfgs);
+  partition::RankWeights w;
+  for (const auto& cfg : cfgs) w.push_back(cfg.total_threads());
+  partition::StreamOptions opts;
+  opts.seed = salt | 1;
+  core::ClusterEngine<Program> ce(
+      g, partition::make_partition_k(scheme, g, w, opts), prog, cfgs);
   expect_cluster_bit_exact(g, prog, ce, nranks, what);
 }
 
@@ -558,6 +562,69 @@ TEST(DifferentialBattery, RankMatrixBitExactAcrossRanks) {
         }
     ++round;
   }
+}
+
+// A 1-rank cluster is one device: over every app, scheme and direction it
+// must reproduce a DeviceEngine over LocalGraph::whole exactly, in values
+// and in every counter that does not depend on thread timing, superstep by
+// superstep. Pushed PageRank sums floats in arrival order, so it runs on
+// one worker.
+template <typename Program>
+std::uint64_t expect_one_rank_is_device(const graph::Csr& g,
+                                        const Program& prog,
+                                        const EngineConfig& cfg,
+                                        const std::string& what) {
+  core::DeviceEngine<Program> device(core::LocalGraph::whole(g), prog, cfg);
+  const auto want = device.run();
+  const auto got = core::ClusterEngine(g, prog, {cfg}).run();
+  EXPECT_FALSE(want.failed) << what;
+  EXPECT_TRUE(got.completed) << what;
+  EXPECT_TRUE(std::ranges::equal(device.values(), got.global_values))
+      << what << ": values differ";
+  const auto& trace = got.ranks[0].trace;
+  EXPECT_EQ(trace.size(), want.trace.size()) << what;
+  for (std::size_t s = 0; s < std::min(trace.size(), want.trace.size()); ++s)
+    metrics::SuperstepCounters::fields(
+        [&](const char* name, auto m, auto... timing_dependent) {
+          if constexpr (sizeof...(timing_dependent) == 0) {
+            EXPECT_EQ(trace[s].*m, want.trace[s].*m)
+                << what << " superstep " << s << ": " << name;
+          }
+        });
+  return metrics::totals(want.trace).pull_supersteps;
+}
+
+TEST(DifferentialRanks, OneRankClusterRunsLikeDeviceEngine) {
+  phigraph::testing::Watchdog wd(
+      std::chrono::seconds(PG_TEST_SANITIZED ? 900 : 300));
+  auto g = gen::pokec_like(2000, 24000, 0x0e1);
+  gen::add_random_weights(g, 0x0e2);
+  std::uint64_t traversal_pulls = 0;
+  for (ExecMode mode : {ExecMode::kLocking, ExecMode::kPipelining})
+    for (core::DirectionMode dir :
+         {core::DirectionMode::kAuto, core::DirectionMode::kForcePush,
+          core::DirectionMode::kForcePull}) {
+      EngineConfig cfg;
+      cfg.mode = mode;
+      cfg.threads = 2;
+      cfg.movers = 1;
+      cfg.direction_mode = dir;
+      const std::string what = std::string(core::exec_mode_name(mode)) + "/" +
+                               core::direction_mode_name(dir);
+      traversal_pulls +=
+          expect_one_rank_is_device(g, apps::Bfs(0), cfg, what + " bfs");
+      traversal_pulls +=
+          expect_one_rank_is_device(g, apps::Sssp(0), cfg, what + " sssp");
+      traversal_pulls += expect_one_rank_is_device(
+          g, apps::ConnectedComponents(), cfg, what + " cc");
+      EngineConfig pagerank_cfg = cfg;
+      pagerank_cfg.max_supersteps = 8;
+      if (dir == core::DirectionMode::kForcePush) pagerank_cfg.threads = 1;
+      expect_one_rank_is_device(g, apps::PageRank(), pagerank_cfg,
+                                what + " pagerank");
+    }
+  // The cells are only worth comparing if the device pulled traversals.
+  EXPECT_GT(traversal_pulls, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -683,8 +750,9 @@ TEST(DifferentialConservation, SingleDeviceMessageCounters) {
   const auto g = make_graph(Family::kPowerLaw, 0x5eed);
   for (ExecMode mode : {ExecMode::kLocking, ExecMode::kPipelining}) {
     Cell c{mode, ColumnMode::kDynamic, 0.0, false};
-    const auto res = core::run_single(g, apps::Bfs(0), cell_cfg(c, 16, 7));
-    const auto t = totals_of(res.run.trace);
+    const auto res =
+        core::ClusterEngine(g, apps::Bfs(0), {cell_cfg(c, 16, 7)}).run();
+    const auto t = totals_of(res.ranks[0].trace);
     // No peer: nothing may cross the device boundary.
     EXPECT_EQ(t.msgs_remote, 0u);
     EXPECT_EQ(t.msgs_received, 0u);
@@ -708,8 +776,8 @@ TEST(DifferentialConservation, SingleDeviceMessageCounters) {
          core::DirectionMode::kForcePush};
   auto cfg = cell_cfg(c, 16, 9);
   cfg.queue_capacity = 8;
-  const auto res = core::run_single(g, apps::Bfs(0), cfg);
-  const auto t = totals_of(res.run.trace);
+  const auto res = core::ClusterEngine(g, apps::Bfs(0), {cfg}).run();
+  const auto t = totals_of(res.ranks[0].trace);
   EXPECT_EQ(t.queue_pushes, t.msgs_local);
   EXPECT_GT(t.queue_full_spins, 0u)
       << "an 8-slot ring under BFS bursts must hit backpressure";
@@ -747,12 +815,13 @@ TEST(DifferentialPhases, PhaseTableParallelToTraceAndBounded) {
   const auto g = make_graph(Family::kPowerLaw, 0x9a5e);
   for (ExecMode mode : {ExecMode::kLocking, ExecMode::kPipelining}) {
     Cell c{mode, ColumnMode::kDynamic, 0.0, false};
-    const auto res = core::run_single(g, apps::Sssp(0), cell_cfg(c, 16, 5));
-    ASSERT_EQ(res.run.phases.size(), res.run.trace.size());
-    ASSERT_EQ(res.run.phases.size(),
-              static_cast<std::size_t>(res.run.supersteps));
+    const auto res =
+        core::ClusterEngine(g, apps::Sssp(0), {cell_cfg(c, 16, 5)}).run();
+    ASSERT_EQ(res.ranks[0].phases.size(), res.ranks[0].trace.size());
+    ASSERT_EQ(res.ranks[0].phases.size(),
+              static_cast<std::size_t>(res.ranks[0].supersteps));
     double wall_total = 0, sum_total = 0;
-    for (const auto& ps : res.run.phases) {
+    for (const auto& ps : res.ranks[0].phases) {
       for (double f : {ps.prepare, ps.generate, ps.exchange, ps.process,
                        ps.update, ps.terminate, ps.checkpoint}) {
         EXPECT_GE(f, 0.0);
@@ -769,11 +838,11 @@ TEST(DifferentialPhases, PhaseTableParallelToTraceAndBounded) {
     // the bulk of the run even at this tiny scale.
     EXPECT_GE(sum_total, 0.3 * wall_total) << core::exec_mode_name(mode);
     // The legacy per-phase totals are now derived from the same table.
-    const auto tot = metrics::phase_totals(res.run.phases);
-    EXPECT_DOUBLE_EQ(res.run.gen_seconds, tot.generate);
-    EXPECT_DOUBLE_EQ(res.run.exchange_seconds, tot.exchange);
-    EXPECT_DOUBLE_EQ(res.run.process_seconds, tot.process);
-    EXPECT_DOUBLE_EQ(res.run.update_seconds, tot.update);
+    const auto tot = metrics::phase_totals(res.ranks[0].phases);
+    EXPECT_DOUBLE_EQ(res.ranks[0].gen_seconds, tot.generate);
+    EXPECT_DOUBLE_EQ(res.ranks[0].exchange_seconds, tot.exchange);
+    EXPECT_DOUBLE_EQ(res.ranks[0].process_seconds, tot.process);
+    EXPECT_DOUBLE_EQ(res.ranks[0].update_seconds, tot.update);
   }
 }
 

@@ -82,9 +82,11 @@ TEST(DirectionPolicy, ZeroThresholdsDisableSwitching) {
 TEST(Direction, AutoRunCounterContract) {
   const auto g = social_graph();
   const auto res =
-      core::run_single(g, apps::Bfs{0}, cfg(ExecMode::kLocking, DirectionMode::kAuto));
+      core::ClusterEngine(
+          g, apps::Bfs{0}, {cfg(ExecMode::kLocking, DirectionMode::kAuto)})
+          .run();
   std::uint64_t pulls = 0;
-  for (const auto& c : res.run.trace) {
+  for (const auto& c : res.ranks[0].trace) {
     EXPECT_EQ(c.push_supersteps + c.pull_supersteps, 1u);
     EXPECT_EQ(c.dense_supersteps + c.sparse_supersteps + c.pull_supersteps, 1u);
     if (c.pull_supersteps > 0) {
@@ -104,7 +106,7 @@ TEST(Direction, AutoRunCounterContract) {
   // A power-law BFS must actually take the bottom-up path in its dense
   // middle, and the BFS first-hit early exit must fire there.
   EXPECT_GT(pulls, 0u);
-  const auto t = metrics::totals(res.run.trace);
+  const auto t = metrics::totals(res.ranks[0].trace);
   EXPECT_GT(t.pull_early_exits, 0u);
   EXPECT_GE(t.direction_flips, 2u);  // push -> pull -> push at minimum
 }
@@ -115,19 +117,25 @@ TEST(Direction, PullScheduleIsModeIndependent) {
   const auto g = social_graph();
   const apps::Sssp prog(0);
   const auto omp =
-      core::run_single(g, prog, cfg(ExecMode::kOmpStyle, DirectionMode::kForcePull));
+      core::ClusterEngine(
+          g, prog, {cfg(ExecMode::kOmpStyle, DirectionMode::kForcePull)})
+          .run();
   const auto lock =
-      core::run_single(g, prog, cfg(ExecMode::kLocking, DirectionMode::kForcePull));
+      core::ClusterEngine(
+          g, prog, {cfg(ExecMode::kLocking, DirectionMode::kForcePull)})
+          .run();
   const auto pipe =
-      core::run_single(g, prog, cfg(ExecMode::kPipelining, DirectionMode::kForcePull));
-  EXPECT_EQ(omp.values, lock.values);
-  EXPECT_EQ(omp.values, pipe.values);
-  ASSERT_EQ(omp.run.trace.size(), lock.run.trace.size());
-  ASSERT_EQ(omp.run.trace.size(), pipe.run.trace.size());
-  for (std::size_t s = 0; s < omp.run.trace.size(); ++s) {
-    const auto& a = omp.run.trace[s];
-    const auto& b = lock.run.trace[s];
-    const auto& c = pipe.run.trace[s];
+      core::ClusterEngine(
+          g, prog, {cfg(ExecMode::kPipelining, DirectionMode::kForcePull)})
+          .run();
+  EXPECT_EQ(omp.global_values, lock.global_values);
+  EXPECT_EQ(omp.global_values, pipe.global_values);
+  ASSERT_EQ(omp.ranks[0].trace.size(), lock.ranks[0].trace.size());
+  ASSERT_EQ(omp.ranks[0].trace.size(), pipe.ranks[0].trace.size());
+  for (std::size_t s = 0; s < omp.ranks[0].trace.size(); ++s) {
+    const auto& a = omp.ranks[0].trace[s];
+    const auto& b = lock.ranks[0].trace[s];
+    const auto& c = pipe.ranks[0].trace[s];
     EXPECT_EQ(a.pull_supersteps, b.pull_supersteps);
     EXPECT_EQ(a.pull_supersteps, c.pull_supersteps);
     EXPECT_EQ(a.pull_edges_scanned, b.pull_edges_scanned);
@@ -149,21 +157,25 @@ TEST(Direction, PredictedMixMatchesAutoEngine) {
   const auto g = social_graph();
   const apps::Bfs prog{0};
   const auto probe =
-      core::run_single(g, prog, cfg(ExecMode::kLocking, DirectionMode::kForcePush));
+      core::ClusterEngine(
+          g, prog, {cfg(ExecMode::kLocking, DirectionMode::kForcePush)})
+          .run();
   const auto live =
-      core::run_single(g, prog, cfg(ExecMode::kLocking, DirectionMode::kAuto));
-  EXPECT_EQ(probe.values, live.values);
-  ASSERT_EQ(probe.run.trace.size(), live.run.trace.size());
+      core::ClusterEngine(
+          g, prog, {cfg(ExecMode::kLocking, DirectionMode::kAuto)})
+          .run();
+  EXPECT_EQ(probe.global_values, live.global_values);
+  ASSERT_EQ(probe.ranks[0].trace.size(), live.ranks[0].trace.size());
 
   const auto mix = sim::predict_direction_mix(
-      probe.run.trace, g.num_vertices(), g.num_edges());
-  ASSERT_EQ(mix.directions.size(), live.run.trace.size());
-  for (std::size_t s = 0; s < live.run.trace.size(); ++s) {
-    const bool pulled = live.run.trace[s].pull_supersteps > 0;
+      probe.ranks[0].trace, g.num_vertices(), g.num_edges());
+  ASSERT_EQ(mix.directions.size(), live.ranks[0].trace.size());
+  for (std::size_t s = 0; s < live.ranks[0].trace.size(); ++s) {
+    const bool pulled = live.ranks[0].trace[s].pull_supersteps > 0;
     EXPECT_EQ(mix.directions[s] == Direction::kPull, pulled)
         << "superstep " << s;
   }
-  const auto t = metrics::totals(live.run.trace);
+  const auto t = metrics::totals(live.ranks[0].trace);
   EXPECT_EQ(mix.pull_supersteps, t.pull_supersteps);
   EXPECT_EQ(mix.push_supersteps, t.push_supersteps);
   EXPECT_EQ(mix.flips, t.direction_flips);

@@ -42,16 +42,19 @@ TEST(EngineCounters, StructuralCountersAreModeIndependent) {
   // property the auto-tuner and the bench methodology rely on.
   const auto g = weighted_graph();
   const apps::Sssp prog(0);
-  const auto lock = core::run_single(g, prog, cfg(ExecMode::kLocking));
-  const auto pipe = core::run_single(g, prog, cfg(ExecMode::kPipelining));
-  const auto omp = core::run_single(g, prog, cfg(ExecMode::kOmpStyle, 16));
+  const auto lock =
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kLocking)}).run();
+  const auto pipe =
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kPipelining)}).run();
+  const auto omp =
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kOmpStyle, 16)}).run();
 
-  ASSERT_EQ(lock.run.trace.size(), pipe.run.trace.size());
-  ASSERT_EQ(lock.run.trace.size(), omp.run.trace.size());
-  for (std::size_t s = 0; s < lock.run.trace.size(); ++s) {
-    const auto& a = lock.run.trace[s];
-    const auto& b = pipe.run.trace[s];
-    const auto& c = omp.run.trace[s];
+  ASSERT_EQ(lock.ranks[0].trace.size(), pipe.ranks[0].trace.size());
+  ASSERT_EQ(lock.ranks[0].trace.size(), omp.ranks[0].trace.size());
+  for (std::size_t s = 0; s < lock.ranks[0].trace.size(); ++s) {
+    const auto& a = lock.ranks[0].trace[s];
+    const auto& b = pipe.ranks[0].trace[s];
+    const auto& c = omp.ranks[0].trace[s];
     EXPECT_EQ(a.active_vertices, b.active_vertices);
     EXPECT_EQ(a.active_vertices, c.active_vertices);
     EXPECT_EQ(a.edges_scanned, b.edges_scanned);
@@ -74,10 +77,10 @@ TEST(EngineCounters, LaneWidthChangesRowsNotMessages) {
   auto mic_cfg = cfg(ExecMode::kLocking, 64);
   cpu_cfg.direction_mode = core::DirectionMode::kForcePush;
   mic_cfg.direction_mode = core::DirectionMode::kForcePush;
-  const auto cpu = core::run_single(g, prog, cpu_cfg);
-  const auto mic = core::run_single(g, prog, mic_cfg);
-  const auto tc = metrics::totals(cpu.run.trace);
-  const auto tm = metrics::totals(mic.run.trace);
+  const auto cpu = core::ClusterEngine(g, prog, {cpu_cfg}).run();
+  const auto mic = core::ClusterEngine(g, prog, {mic_cfg}).run();
+  const auto tc = metrics::totals(cpu.ranks[0].trace);
+  const auto tm = metrics::totals(mic.ranks[0].trace);
   EXPECT_EQ(tc.msgs_local, tm.msgs_local);
   // Wider lanes -> fewer rows to reduce, but more padded bubble cells.
   EXPECT_GT(tc.vector_rows, tm.vector_rows);
@@ -86,8 +89,9 @@ TEST(EngineCounters, LaneWidthChangesRowsNotMessages) {
 
 TEST(EngineCounters, BfsSkipsReductionEntirely) {
   const auto g = gen::pokec_like(3000, 30000, 12);
-  const auto res = core::run_single(g, apps::Bfs{0}, cfg(ExecMode::kLocking));
-  const auto t = metrics::totals(res.run.trace);
+  const auto res =
+      core::ClusterEngine(g, apps::Bfs{0}, {cfg(ExecMode::kLocking)}).run();
+  const auto t = metrics::totals(res.ranks[0].trace);
   EXPECT_EQ(t.vector_rows, 0u);   // no SIMD reduction sub-step
   EXPECT_EQ(t.scalar_msgs, 0u);   // no scalar reduction either
   EXPECT_GT(t.msgs_local, 0u);
@@ -100,8 +104,8 @@ TEST(EngineCounters, PageRankScansEveryEdgeEverySuperstep) {
   // Push pinned: the CSB path's per-message accounting is the subject; a
   // single-device PageRank pulls by default.
   c.direction_mode = core::DirectionMode::kForcePush;
-  const auto res = core::run_single(g, apps::PageRank{}, c);
-  for (const auto& step : res.run.trace) {
+  const auto res = core::ClusterEngine(g, apps::PageRank{}, {c}).run();
+  for (const auto& step : res.ranks[0].trace) {
     EXPECT_EQ(step.active_vertices, g.num_vertices());
     EXPECT_EQ(step.edges_scanned, g.num_edges());
     EXPECT_EQ(step.msgs_local, g.num_edges());
@@ -191,8 +195,10 @@ TEST(EngineCounters, ClusterPullShipsOneSharePerBoundaryVertex) {
 TEST(EngineCounters, TopoSortMessageTotalEqualsEdges) {
   // Every edge delivers exactly one "decrement" message over the whole run.
   const auto g = gen::dag_like(600, 40000, 15, 12);
-  const auto res = core::run_single(g, apps::TopoSort{}, cfg(ExecMode::kPipelining));
-  EXPECT_EQ(metrics::totals(res.run.trace).msgs_local, g.num_edges());
+  const auto res =
+      core::ClusterEngine(g, apps::TopoSort{}, {cfg(ExecMode::kPipelining)})
+          .run();
+  EXPECT_EQ(metrics::totals(res.ranks[0].trace).msgs_local, g.num_edges());
 }
 
 TEST(EngineCounters, HeteroSplitsMessagesByOwnership) {
@@ -203,8 +209,8 @@ TEST(EngineCounters, HeteroSplitsMessagesByOwnership) {
   // counts pushed messages only.
   auto solo_cfg = cfg(ExecMode::kLocking);
   solo_cfg.direction_mode = core::DirectionMode::kForcePush;
-  const auto solo = core::run_single(g, prog, solo_cfg);
-  const auto solo_msgs = metrics::totals(solo.run.trace).msgs_local;
+  const auto solo = core::ClusterEngine(g, prog, {solo_cfg}).run();
+  const auto solo_msgs = metrics::totals(solo.ranks[0].trace).msgs_local;
 
   core::ClusterEngine<apps::Sssp> ce(
       g, partition::round_robin_partition_k(g, {1, 1}), prog,
@@ -228,10 +234,12 @@ TEST(EngineCounters, HeteroSplitsMessagesByOwnership) {
 TEST(EngineCounters, LockAccountingPerMode) {
   const auto g = weighted_graph();
   const apps::Sssp prog(0);
-  const auto lock = core::run_single(g, prog, cfg(ExecMode::kLocking));
-  const auto pipe = core::run_single(g, prog, cfg(ExecMode::kPipelining));
-  const auto tl = metrics::totals(lock.run.trace);
-  const auto tp = metrics::totals(pipe.run.trace);
+  const auto lock =
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kLocking)}).run();
+  const auto pipe =
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kPipelining)}).run();
+  const auto tl = metrics::totals(lock.ranks[0].trace);
+  const auto tp = metrics::totals(pipe.ranks[0].trace);
   // Locking: >= one column-lock acquisition per message (+ allocations).
   EXPECT_GE(tl.lock_acquisitions, tl.msgs_local);
   // Pipelining: locks only for column allocation — far fewer.
@@ -250,12 +258,12 @@ TEST(EngineCounters, FileRoundTripProducesIdenticalRun) {
   std::filesystem::remove(path);
 
   const apps::Sssp prog(0);
-  const auto a = core::run_single(g, prog, cfg(ExecMode::kLocking));
-  const auto b = core::run_single(g2, prog, cfg(ExecMode::kLocking));
-  EXPECT_EQ(a.values, b.values);
-  ASSERT_EQ(a.run.trace.size(), b.run.trace.size());
-  for (std::size_t s = 0; s < a.run.trace.size(); ++s)
-    EXPECT_EQ(a.run.trace[s].msgs_local, b.run.trace[s].msgs_local);
+  const auto a = core::ClusterEngine(g, prog, {cfg(ExecMode::kLocking)}).run();
+  const auto b = core::ClusterEngine(g2, prog, {cfg(ExecMode::kLocking)}).run();
+  EXPECT_EQ(a.global_values, b.global_values);
+  ASSERT_EQ(a.ranks[0].trace.size(), b.ranks[0].trace.size());
+  for (std::size_t s = 0; s < a.ranks[0].trace.size(); ++s)
+    EXPECT_EQ(a.ranks[0].trace[s].msgs_local, b.ranks[0].trace[s].msgs_local);
 }
 
 }  // namespace

@@ -26,15 +26,15 @@ EngineConfig small_cfg(ExecMode mode = ExecMode::kLocking) {
 
 TEST(EngineEdge, EmptyGraph) {
   const auto g = graph::Csr::from_edges(0, {});
-  auto res = core::run_single(g, apps::PageRank{}, small_cfg());
-  EXPECT_TRUE(res.values.empty());
+  auto res = core::ClusterEngine(g, apps::PageRank{}, {small_cfg()}).run();
+  EXPECT_TRUE(res.global_values.empty());
 }
 
 TEST(EngineEdge, SingleVertexNoEdges) {
   const auto g = graph::Csr::from_edges(1, {});
-  auto res = core::run_single(g, apps::Bfs{0}, small_cfg());
-  EXPECT_EQ(res.values[0], 0);
-  EXPECT_LE(res.run.supersteps, 2);
+  auto res = core::ClusterEngine(g, apps::Bfs{0}, {small_cfg()}).run();
+  EXPECT_EQ(res.global_values[0], 0);
+  EXPECT_LE(res.ranks[0].supersteps, 2);
 }
 
 TEST(EngineEdge, SelfLoopTerminates) {
@@ -42,29 +42,29 @@ TEST(EngineEdge, SelfLoopTerminates) {
   std::vector<std::pair<vid_t, vid_t>> edges = {{0, 0}, {0, 1}};
   auto g = graph::Csr::from_edges(2, edges);
   g.set_edge_values({1.0f, 2.0f});
-  auto res = core::run_single(g, apps::Sssp{0}, small_cfg());
-  EXPECT_FLOAT_EQ(res.values[0], 0.0f);
-  EXPECT_FLOAT_EQ(res.values[1], 2.0f);
-  EXPECT_LT(res.run.supersteps, 10);
+  auto res = core::ClusterEngine(g, apps::Sssp{0}, {small_cfg()}).run();
+  EXPECT_FLOAT_EQ(res.global_values[0], 0.0f);
+  EXPECT_FLOAT_EQ(res.global_values[1], 2.0f);
+  EXPECT_LT(res.ranks[0].supersteps, 10);
 }
 
 TEST(EngineEdge, DisconnectedComponentsStayUntouched) {
   // Two components; BFS from component A must leave B at -1.
   std::vector<std::pair<vid_t, vid_t>> edges = {{0, 1}, {1, 2}, {3, 4}};
   const auto g = graph::Csr::from_edges(5, edges);
-  auto res = core::run_single(g, apps::Bfs{0}, small_cfg());
-  EXPECT_EQ(res.values[2], 2);
-  EXPECT_EQ(res.values[3], -1);
-  EXPECT_EQ(res.values[4], -1);
+  auto res = core::ClusterEngine(g, apps::Bfs{0}, {small_cfg()}).run();
+  EXPECT_EQ(res.global_values[2], 2);
+  EXPECT_EQ(res.global_values[3], -1);
+  EXPECT_EQ(res.global_values[4], -1);
 }
 
 TEST(EngineEdge, MaxSuperstepsCapIsHonored) {
   const auto g = gen::pokec_like(1000, 10000, 4);
   auto cfg = small_cfg();
   cfg.max_supersteps = 3;
-  auto res = core::run_single(g, apps::PageRank{}, cfg);
-  EXPECT_EQ(res.run.supersteps, 3);
-  EXPECT_EQ(res.run.trace.size(), 3u);
+  auto res = core::ClusterEngine(g, apps::PageRank{}, {cfg}).run();
+  EXPECT_EQ(res.ranks[0].supersteps, 3);
+  EXPECT_EQ(res.ranks[0].trace.size(), 3u);
 }
 
 TEST(EngineEdge, SingleThreadSingleMover) {
@@ -75,8 +75,8 @@ TEST(EngineEdge, SingleThreadSingleMover) {
   cfg.threads = 1;
   cfg.movers = 1;
   const apps::Sssp prog(0);
-  const auto res = core::run_single(g, prog, cfg);
-  EXPECT_EQ(res.values, apps::reference_run(g, prog));
+  const auto res = core::ClusterEngine(g, prog, {cfg}).run();
+  EXPECT_EQ(res.global_values, apps::reference_run(g, prog));
 }
 
 TEST(EngineEdge, OneToOneColumnModeMatchesDynamic) {
@@ -87,12 +87,12 @@ TEST(EngineEdge, OneToOneColumnModeMatchesDynamic) {
   auto o2o_cfg = small_cfg();
   o2o_cfg.column_mode = buffer::ColumnMode::kOneToOne;
   const apps::Sssp prog(0);
-  const auto a = core::run_single(g, prog, dyn_cfg);
-  const auto b = core::run_single(g, prog, o2o_cfg);
-  EXPECT_EQ(a.values, b.values);
+  const auto a = core::ClusterEngine(g, prog, {dyn_cfg}).run();
+  const auto b = core::ClusterEngine(g, prog, {o2o_cfg}).run();
+  EXPECT_EQ(a.global_values, b.global_values);
   // One-to-one pads far more lanes (Fig. 3(a) vs 3(b)).
-  EXPECT_GT(metrics::totals(b.run.trace).padded_cells,
-            metrics::totals(a.run.trace).padded_cells);
+  EXPECT_GT(metrics::totals(b.ranks[0].trace).padded_cells,
+            metrics::totals(a.ranks[0].trace).padded_cells);
 }
 
 TEST(EngineEdge, CsbKSweepKeepsResults) {
@@ -103,8 +103,8 @@ TEST(EngineEdge, CsbKSweepKeepsResults) {
   for (int k : {1, 2, 4, 8}) {
     auto cfg = small_cfg();
     cfg.csb_k = k;
-    const auto res = core::run_single(g, prog, cfg);
-    EXPECT_EQ(res.values, ref) << "k = " << k;
+    const auto res = core::ClusterEngine(g, prog, {cfg}).run();
+    EXPECT_EQ(res.global_values, ref) << "k = " << k;
   }
 }
 
@@ -114,9 +114,9 @@ TEST(EngineEdge, ChunkSizeSweepKeepsResults) {
   for (std::size_t chunk : {1, 7, 64, 4096}) {
     auto cfg = small_cfg(ExecMode::kPipelining);
     cfg.sched_chunk = chunk;
-    const auto res = core::run_single(g, apps::TopoSort{}, cfg);
+    const auto res = core::ClusterEngine(g, apps::TopoSort{}, {cfg}).run();
     for (vid_t v = 0; v < g.num_vertices(); ++v)
-      ASSERT_EQ(res.values[v].order, ref[v].order) << "chunk " << chunk;
+      ASSERT_EQ(res.global_values[v].order, ref[v].order) << "chunk " << chunk;
   }
 }
 
@@ -124,11 +124,11 @@ TEST(EngineEdge, TinyQueueCapacityStillLossless) {
   const auto g = gen::pokec_like(1000, 20000, 11);
   auto cfg = small_cfg(ExecMode::kPipelining);
   cfg.queue_capacity = 4;  // maximal backpressure
-  auto res = core::run_single(g, apps::Bfs{0}, cfg);
+  auto res = core::ClusterEngine(g, apps::Bfs{0}, {cfg}).run();
   const auto classic = apps::classic_bfs(g, 0);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
-    ASSERT_EQ(res.values[v], classic[v]);
-  EXPECT_GT(metrics::totals(res.run.trace).queue_full_spins, 0u);
+    ASSERT_EQ(res.global_values[v], classic[v]);
+  EXPECT_GT(metrics::totals(res.ranks[0].trace).queue_full_spins, 0u);
 }
 
 TEST(EngineEdge, ManyMoversFewWorkers) {
@@ -136,10 +136,10 @@ TEST(EngineEdge, ManyMoversFewWorkers) {
   auto cfg = small_cfg(ExecMode::kPipelining);
   cfg.threads = 1;
   cfg.movers = 5;
-  auto res = core::run_single(g, apps::Bfs{0}, cfg);
+  auto res = core::ClusterEngine(g, apps::Bfs{0}, {cfg}).run();
   const auto classic = apps::classic_bfs(g, 0);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
-    ASSERT_EQ(res.values[v], classic[v]);
+    ASSERT_EQ(res.global_values[v], classic[v]);
 }
 
 TEST(EngineEdge, HeteroWithAllVerticesOnOneDevice) {

@@ -68,17 +68,17 @@ class EngineModes : public ::testing::TestWithParam<ModeParam> {};
 TEST_P(EngineModes, SsspMatchesReferenceAndDijkstra) {
   const auto g = test_graph();
   const apps::Sssp prog(0);
-  auto res = core::run_single(g, prog, make_config(GetParam()));
+  auto res = core::ClusterEngine(g, prog, {make_config(GetParam())}).run();
 
   const auto ref = apps::reference_run(g, prog);
   const auto dij = apps::classic_dijkstra(g, 0);
-  ASSERT_EQ(res.values.size(), ref.size());
+  ASSERT_EQ(res.global_values.size(), ref.size());
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(res.values[v], ref[v]) << "vertex " << v;
+    EXPECT_EQ(res.global_values[v], ref[v]) << "vertex " << v;
     if (dij[v] == apps::Sssp::kInfinity) {
-      EXPECT_EQ(res.values[v], apps::Sssp::kInfinity);
+      EXPECT_EQ(res.global_values[v], apps::Sssp::kInfinity);
     } else {
-      EXPECT_NEAR(res.values[v], dij[v], 1e-3f * (1.0f + dij[v]));
+      EXPECT_NEAR(res.global_values[v], dij[v], 1e-3f * (1.0f + dij[v]));
     }
   }
 }
@@ -86,10 +86,10 @@ TEST_P(EngineModes, SsspMatchesReferenceAndDijkstra) {
 TEST_P(EngineModes, BfsMatchesClassic) {
   const auto g = test_graph();
   const apps::Bfs prog(0);
-  auto res = core::run_single(g, prog, make_config(GetParam()));
+  auto res = core::ClusterEngine(g, prog, {make_config(GetParam())}).run();
   const auto classic = apps::classic_bfs(g, 0);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
-    EXPECT_EQ(res.values[v], classic[v]) << "vertex " << v;
+    EXPECT_EQ(res.global_values[v], classic[v]) << "vertex " << v;
 }
 
 TEST_P(EngineModes, PageRankMatchesClassic) {
@@ -97,26 +97,26 @@ TEST_P(EngineModes, PageRankMatchesClassic) {
   const apps::PageRank prog;
   auto cfg = make_config(GetParam());
   cfg.max_supersteps = 15;
-  auto res = core::run_single(g, prog, cfg);
+  auto res = core::ClusterEngine(g, prog, {cfg}).run();
   const auto classic = apps::classic_pagerank(g, 15);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
-    EXPECT_NEAR(res.values[v], classic[v], 1e-3f * (1.0f + classic[v]))
+    EXPECT_NEAR(res.global_values[v], classic[v], 1e-3f * (1.0f + classic[v]))
         << "vertex " << v;
 }
 
 TEST_P(EngineModes, TopoSortMatchesKahnLevels) {
   const auto g = gen::dag_like(/*n=*/2000, /*m=*/20000, /*seed=*/3);
   const apps::TopoSort prog;
-  auto res = core::run_single(g, prog, make_config(GetParam()));
+  auto res = core::ClusterEngine(g, prog, {make_config(GetParam())}).run();
   const auto levels = apps::classic_topo_levels(g);
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(res.values[v].remaining, 0) << "vertex " << v;
-    EXPECT_EQ(res.values[v].order, levels[v]) << "vertex " << v;
+    EXPECT_EQ(res.global_values[v].remaining, 0) << "vertex " << v;
+    EXPECT_EQ(res.global_values[v].order, levels[v]) << "vertex " << v;
   }
   // The orders form a valid topological order: every edge increases it.
   for (vid_t u = 0; u < g.num_vertices(); ++u)
     for (vid_t v : g.out_neighbors(u))
-      EXPECT_LT(res.values[u].order, res.values[v].order);
+      EXPECT_LT(res.global_values[u].order, res.global_values[v].order);
 }
 
 TEST_P(EngineModes, SemiClusteringMatchesReference) {
@@ -124,14 +124,15 @@ TEST_P(EngineModes, SemiClusteringMatchesReference) {
   const apps::SemiClustering prog;
   auto cfg = make_config(GetParam());
   cfg.max_supersteps = 6;
-  auto res = core::run_single(g, prog, cfg);
+  const auto res = core::ClusterEngine(g, prog, {cfg}).run();
+  const auto& got = res.global_values;
   const auto ref = apps::reference_run(g, prog, 6);
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ(res.values[v].count, ref[v].count) << "vertex " << v;
+    ASSERT_EQ(got[v].count, ref[v].count) << "vertex " << v;
     for (std::uint32_t c = 0; c < ref[v].count; ++c) {
-      EXPECT_TRUE(res.values[v].clusters[c].same_members(ref[v].clusters[c]))
+      EXPECT_TRUE(got[v].clusters[c].same_members(ref[v].clusters[c]))
           << "vertex " << v << " cluster " << c;
-      EXPECT_FLOAT_EQ(res.values[v].clusters[c].score, ref[v].clusters[c].score);
+      EXPECT_FLOAT_EQ(got[v].clusters[c].score, ref[v].clusters[c].score);
     }
   }
 }

@@ -55,10 +55,11 @@ TEST(ConnectedComponents, MatchesUnionFindOnCommunityGraph) {
                     core::ExecMode::kPipelining}) {
     for (int simd_bytes : {16, 64}) {
       if (mode == core::ExecMode::kOmpStyle && simd_bytes == 64) continue;
-      const auto res = core::run_single(g, apps::ConnectedComponents{},
-                                        cc_cfg(mode, simd_bytes));
+      const auto res = core::ClusterEngine(g, apps::ConnectedComponents{},
+                                           {cc_cfg(mode, simd_bytes)})
+                           .run();
       for (vid_t v = 0; v < g.num_vertices(); ++v)
-        ASSERT_EQ(res.values[v], truth[v])
+        ASSERT_EQ(res.global_values[v], truth[v])
             << "vertex " << v << " mode " << static_cast<int>(mode);
     }
   }
@@ -80,13 +81,15 @@ TEST(ConnectedComponents, HeterogeneousMatchesSingleDevice) {
 TEST(ConnectedComponents, IsolatedVerticesKeepOwnLabel) {
   const auto g = graph::Csr::from_edges(
       5, std::vector<std::pair<vid_t, vid_t>>{{0, 1}, {1, 0}});
-  const auto res = core::run_single(g, apps::ConnectedComponents{},
-                                    cc_cfg(core::ExecMode::kLocking, 64));
-  EXPECT_EQ(res.values[0], 0);
-  EXPECT_EQ(res.values[1], 0);
-  EXPECT_EQ(res.values[2], 2);
-  EXPECT_EQ(res.values[3], 3);
-  EXPECT_EQ(res.values[4], 4);
+  const auto res =
+      core::ClusterEngine(g, apps::ConnectedComponents{},
+                          {cc_cfg(core::ExecMode::kLocking, 64)})
+          .run();
+  EXPECT_EQ(res.global_values[0], 0);
+  EXPECT_EQ(res.global_values[1], 0);
+  EXPECT_EQ(res.global_values[2], 2);
+  EXPECT_EQ(res.global_values[3], 3);
+  EXPECT_EQ(res.global_values[4], 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,18 +8,22 @@
 //  * checkpointed recovery is exact: BFS levels after a mid-run MIC failure
 //    are bit-identical to a fault-free single-device run (min-combine is
 //    reduction-order independent);
-//  * from-scratch recovery re-runs the full computation, so with a
-//    deterministic (single-thread) config PageRank floats are bit-identical
-//    to the same-config single-device reference;
-//  * lost work is bounded by the checkpoint interval;
-//  * single-device runs keep the historical contract: user exceptions
-//    propagate to the caller.
+//  * from-scratch recovery re-runs the full computation, and pulled
+//    PageRank folds in a fixed order at any thread count, so its floats are
+//    bit-identical to the single-device reference;
+//  * lost work is bounded by the checkpoint interval, and a wedged rank is
+//    caught by the exchange deadline;
+//  * one device keeps the same contract: a throwing program ends
+//    DeviceEngine::run() with a FaultReport, and a 1-rank ClusterEngine
+//    recovers from it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/apps/bfs.hpp"
@@ -67,6 +71,39 @@ class ThrowOnRank : public Base {
   std::shared_ptr<const std::vector<int>> owner_;
   int rank_;
   int superstep_;
+  std::shared_ptr<std::atomic<bool>> fired_;
+};
+
+/// Wraps a vertex program; update_vertex sleeps for `stall` exactly once,
+/// process-wide, when updating a vertex owned by `rank` during `superstep`:
+/// a wedged device rather than a crashed one, which only the exchange
+/// deadline catches.
+template <typename Base>
+class StallOnRank : public Base {
+ public:
+  StallOnRank(Base base, std::shared_ptr<const std::vector<int>> owner,
+              int rank, int superstep, std::chrono::milliseconds stall)
+      : Base(std::move(base)),
+        owner_(std::move(owner)),
+        rank_(rank),
+        superstep_(superstep),
+        stall_(stall),
+        fired_(std::make_shared<std::atomic<bool>>(false)) {}
+
+  template <typename View>
+  bool update_vertex(const typename Base::message_t& msg, View& g,
+                     vid_t u) const {
+    if (g.superstep == superstep_ && (*owner_)[g.global_id[u]] == rank_ &&
+        !fired_->exchange(true))
+      std::this_thread::sleep_for(stall_);
+    return Base::update_vertex(msg, g, u);
+  }
+
+ private:
+  std::shared_ptr<const std::vector<int>> owner_;
+  int rank_;
+  int superstep_;
+  std::chrono::milliseconds stall_;
   std::shared_ptr<std::atomic<bool>> fired_;
 };
 
@@ -142,28 +179,25 @@ TEST(HeteroFailover, BfsCheckpointRecoveryIsBitIdenticalToSingleDevice) {
 
   // BFS levels reduce with min — order-independent — so the recovered values
   // must be *bit-identical* to a fault-free single-device run.
-  const auto ref = core::run_single(g, apps::Bfs(0), cpu_cfg());
-  ASSERT_EQ(res.global_values.size(), ref.values.size());
+  const auto ref = core::ClusterEngine(g, apps::Bfs(0), {cpu_cfg()}).run();
+  ASSERT_EQ(res.global_values.size(), ref.global_values.size());
   for (vid_t v = 0; v < g.num_vertices(); ++v)
-    EXPECT_EQ(res.global_values[v], ref.values[v]) << "vertex " << v;
+    EXPECT_EQ(res.global_values[v], ref.global_values[v]) << "vertex " << v;
 }
 
 TEST(HeteroFailover, PageRankFromScratchRecoveryIsBitIdentical) {
   phigraph::testing::Watchdog dog(std::chrono::seconds(120));
   const auto g = graph::paper_example_graph();
   auto owner = round_robin_owner(g);
-  // Single-threaded locking config: float reduction order is deterministic,
-  // so a from-scratch CPU-only recovery must reproduce the single-device
-  // run bit for bit (the recovery config is the CPU config).
+  // PageRank pulls, folding each vertex's in-neighbor shares in ascending
+  // source order at any thread count, so the from-scratch CPU-only recovery
+  // (its team sized from the combined budgets: 2 threads here) must
+  // reproduce the 1-thread single-device run bit for bit.
   EngineConfig det;
   det.mode = ExecMode::kLocking;
   det.simd_bytes = simd::kCpuSimdBytes;
   det.threads = 1;
   det.max_supersteps = 12;
-  // The ladder sizes the recovery engine from the COMBINED rank budgets by
-  // default (2 threads here), which would change float reduction order; pin
-  // it back to one thread so bit-identity against run_single holds.
-  det.recovery_threads = 1;
   const ThrowOnRank<apps::PageRank> prog(apps::PageRank(), owner, /*rank=*/1,
                                          /*superstep=*/3);
   core::ClusterEngine<ThrowOnRank<apps::PageRank>> ce(g, *owner, prog,
@@ -172,10 +206,10 @@ TEST(HeteroFailover, PageRankFromScratchRecoveryIsBitIdentical) {
 
   ASSERT_TRUE(res.completed) << res.fault.to_string();
   EXPECT_EQ(res.failover.failed_over, 1u);
-  const auto ref = core::run_single(g, apps::PageRank(), det);
-  ASSERT_EQ(res.global_values.size(), ref.values.size());
+  const auto ref = core::ClusterEngine(g, apps::PageRank(), {det}).run();
+  ASSERT_EQ(res.global_values.size(), ref.global_values.size());
   for (vid_t v = 0; v < g.num_vertices(); ++v)
-    EXPECT_EQ(res.global_values[v], ref.values[v]) << "vertex " << v;
+    EXPECT_EQ(res.global_values[v], ref.global_values[v]) << "vertex " << v;
 }
 
 TEST(HeteroFailover, LostSuperstepsAreBoundedByTheCheckpointInterval) {
@@ -204,6 +238,40 @@ TEST(HeteroFailover, LostSuperstepsAreBoundedByTheCheckpointInterval) {
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_NEAR(res.global_values[v], classic[v], 1e-3f * (1.0f + classic[v]))
         << "vertex " << v;
+}
+
+// A rank that stalls in update_vertex without throwing never poisons the
+// channels; its peer waits at the termination exchange until the deadline,
+// declares it dead and poisons on its behalf. A missed deadline is
+// transient, so rung 1 respawns the stalled rank from the newest common
+// frame and the resumed run finishes on both ranks.
+TEST(HeteroFailover, MissedExchangeDeadlineRespawnsTheStalledRank) {
+  phigraph::testing::Watchdog dog(std::chrono::seconds(120));
+  const auto g = test_graph();
+  auto owner = round_robin_owner(g);
+  const StallOnRank<apps::Bfs> prog(apps::Bfs(0), owner, /*rank=*/1,
+                                    /*superstep=*/3, std::chrono::seconds(3));
+  std::vector<EngineConfig> cfgs = {cpu_cfg(), mic_cfg()};
+  for (EngineConfig& c : cfgs) {
+    c.exchange_deadline_ms = 1000;
+    c.checkpoint.interval = 2;  // frames at resume supersteps 2, 4, ...
+    c.retry.backoff_ms = 0;
+  }
+  core::ClusterEngine<StallOnRank<apps::Bfs>> ce(g, *owner, prog, cfgs);
+  const auto res = ce.run();
+
+  ASSERT_TRUE(res.completed) << res.fault.to_string();
+  EXPECT_EQ(res.fault.rank, 1);
+  EXPECT_EQ(res.fault.superstep, 3);
+  EXPECT_EQ(res.fault.phase, "terminate");
+  EXPECT_EQ(res.fault.kind, fault::FaultKind::kTransient);
+  EXPECT_NE(res.fault.what.find("deadline"), std::string::npos)
+      << res.fault.what;
+  EXPECT_EQ(res.failover.rung, 1u);
+  EXPECT_EQ(res.failover.attempts, 1u);
+  EXPECT_EQ(res.failover.lost_supersteps, 1u);
+  for (const auto& rr : res.ranks) EXPECT_FALSE(rr.failed);
+  EXPECT_EQ(res.global_values, apps::classic_bfs(g, 0));
 }
 
 TEST(HeteroFailover, CpuFaultAlsoFailsOver) {
@@ -425,8 +493,7 @@ TEST(RecoveryLadder, RepartitionFaultFallsToSingleDevice) {
 }
 
 // The rung-3 engine's thread team is sized from the COMBINED rank budgets
-// (the dead cluster's whole allotment is free), unless recovery_threads pins
-// it explicitly.
+// (the dead cluster's whole allotment is free).
 TEST(RecoveryLadder, RecoveryEngineSizesThreadsFromCombinedBudgets) {
   const auto g = graph::paper_example_graph();
   auto owner = std::make_shared<std::vector<int>>(g.num_vertices());
@@ -435,19 +502,10 @@ TEST(RecoveryLadder, RecoveryEngineSizesThreadsFromCombinedBudgets) {
   // cpu_cfg: 3 threads (locking); mic_cfg: 3 workers + 2 movers (pipelining)
   // -> combined budget 8. Rank 0 is locking, so the recovery engine gets all
   // 8 as workers.
-  {
-    core::ClusterEngine<apps::Bfs> ce(g, *owner, apps::Bfs(0),
-                                      {cpu_cfg(), mic_cfg()});
-    EXPECT_EQ(ce.recovery_config().threads, 8);
-    EXPECT_EQ(ce.recovery_config().checkpoint.interval, 0);
-  }
-  {
-    auto cc = cpu_cfg();
-    cc.recovery_threads = 1;  // explicit pin wins (deterministic recoveries)
-    core::ClusterEngine<apps::Bfs> ce(g, *owner, apps::Bfs(0),
-                                      {cc, mic_cfg()});
-    EXPECT_EQ(ce.recovery_config().threads, 1);
-  }
+  core::ClusterEngine<apps::Bfs> ce(g, *owner, apps::Bfs(0),
+                                    {cpu_cfg(), mic_cfg()});
+  EXPECT_EQ(ce.recovery_config().threads, 8);
+  EXPECT_EQ(ce.recovery_config().checkpoint.interval, 0);
 }
 
 // Kill each rank of a 4-rank cluster exactly once with a PERMANENT fault.
@@ -503,16 +561,55 @@ TEST(ClusterFailover, KillEachRankRecoversBitIdentical) {
   }
 }
 
-TEST(SingleDeviceFaults, UserExceptionsStillPropagateToTheCaller) {
-  // run_single keeps its historical contract: no peer to poison, so the
-  // user-program exception surfaces on the calling thread.
+// Without peers there is no channel to poison, but the contract is the
+// same: the fault ends run() with `failed` set and a report naming rank 0,
+// the superstep and the phase, instead of escaping as an exception.
+TEST(SingleDeviceFaults, ThrowingProgramEndsTheRunWithAFaultReport) {
   const auto g = graph::paper_example_graph();
   auto owner = std::make_shared<std::vector<int>>(g.num_vertices(), 0);
   const ThrowOnRank<apps::PageRank> prog(apps::PageRank(), owner, /*rank=*/0,
                                          /*superstep=*/1);
   EngineConfig cfg = cpu_cfg();
   cfg.max_supersteps = 5;
-  EXPECT_THROW((void)core::run_single(g, prog, cfg), std::runtime_error);
+  core::DeviceEngine<ThrowOnRank<apps::PageRank>> engine(
+      core::LocalGraph::whole(g), prog, cfg);
+  const auto res = engine.run();
+
+  ASSERT_TRUE(res.failed);
+  EXPECT_EQ(res.fault.rank, 0);
+  EXPECT_EQ(res.fault.superstep, 1);
+  EXPECT_EQ(res.fault.phase, "update");
+  EXPECT_EQ(res.fault.kind, fault::FaultKind::kPermanent);
+  EXPECT_EQ(res.fault.what, "synthetic rank failure");
+  EXPECT_EQ(res.supersteps, 1);  // superstep 1 never completed
+}
+
+// A 1-rank cluster puts that engine behind the recovery ladder. A permanent
+// fault leaves no survivors to repartition over, so rung 3 reruns the whole
+// graph from superstep 0 (the one-shot latch keeps the rerun clean).
+TEST(SingleDeviceFaults, OneRankClusterRecoversAtRungThree) {
+  phigraph::testing::Watchdog dog(std::chrono::seconds(120));
+  const auto g = test_graph();
+  auto owner = std::make_shared<std::vector<int>>(g.num_vertices(), 0);
+  constexpr int kSteps = 10;
+  const ThrowOnRank<apps::PageRank> prog(apps::PageRank(), owner, /*rank=*/0,
+                                         /*superstep=*/3);
+  EngineConfig cfg = cpu_cfg();
+  cfg.max_supersteps = kSteps;
+  const auto res = core::ClusterEngine(g, prog, {cfg}).run();
+
+  ASSERT_TRUE(res.completed) << res.fault.to_string();
+  EXPECT_EQ(res.fault.rank, 0);
+  EXPECT_EQ(res.fault.superstep, 3);
+  EXPECT_EQ(res.fault.phase, "update");
+  EXPECT_EQ(res.fault.kind, fault::FaultKind::kPermanent);
+  EXPECT_EQ(res.failover.rung, 3u);
+  EXPECT_EQ(res.failover.attempts, 0u);
+  EXPECT_EQ(res.failover.epochs, 1u);
+  EXPECT_EQ(res.failover.lost_supersteps, 3u);
+  EXPECT_EQ(res.recovery.supersteps, kSteps);
+  EXPECT_EQ(res.global_values,
+            apps::reference_run(g, apps::PageRank(), kSteps));
 }
 
 }  // namespace

@@ -60,25 +60,27 @@ TEST_P(FrontierModes, BfsIdenticalAcrossDenseSparseAndAuto) {
   // knob under test, and the forced-path counter checks below require every
   // superstep to be a push superstep.
   const auto dense =
-      core::run_single(g, prog, push_cfg(mode, kAlwaysDense, simd_bytes));
+      core::ClusterEngine(g, prog, {push_cfg(mode, kAlwaysDense, simd_bytes)})
+          .run();
   const auto sparse =
-      core::run_single(g, prog, push_cfg(mode, kAlwaysSparse, simd_bytes));
+      core::ClusterEngine(g, prog, {push_cfg(mode, kAlwaysSparse, simd_bytes)})
+          .run();
   EngineConfig auto_cfg = cfg(mode, 0.05, simd_bytes);
-  const auto autosw = core::run_single(g, prog, auto_cfg);
+  const auto autosw = core::ClusterEngine(g, prog, {auto_cfg}).run();
 
-  EXPECT_EQ(dense.values, sparse.values);
-  EXPECT_EQ(dense.values, autosw.values);
+  EXPECT_EQ(dense.global_values, sparse.global_values);
+  EXPECT_EQ(dense.global_values, autosw.global_values);
   const auto ref = apps::reference_run(g, prog);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
-    ASSERT_EQ(dense.values[v], ref[v]) << "vertex " << v;
+    ASSERT_EQ(dense.global_values[v], ref[v]) << "vertex " << v;
 
   // The forced paths really took the paths they were forced onto.
-  const auto td = metrics::totals(dense.run.trace);
-  const auto ts = metrics::totals(sparse.run.trace);
+  const auto td = metrics::totals(dense.ranks[0].trace);
+  const auto ts = metrics::totals(sparse.ranks[0].trace);
   EXPECT_EQ(td.sparse_supersteps, 0u);
-  EXPECT_EQ(td.dense_supersteps, dense.run.trace.size());
+  EXPECT_EQ(td.dense_supersteps, dense.ranks[0].trace.size());
   EXPECT_EQ(ts.dense_supersteps, 0u);
-  EXPECT_EQ(ts.sparse_supersteps, sparse.run.trace.size());
+  EXPECT_EQ(ts.sparse_supersteps, sparse.ranks[0].trace.size());
   // Structural counters are path-independent.
   EXPECT_EQ(td.msgs_local, ts.msgs_local);
   EXPECT_EQ(td.verts_updated, ts.verts_updated);
@@ -90,16 +92,19 @@ TEST_P(FrontierModes, SsspIdenticalAcrossDenseSparseAndAuto) {
   const auto g = weighted_graph();
   const apps::Sssp prog(0);
   const auto dense =
-      core::run_single(g, prog, push_cfg(mode, kAlwaysDense, simd_bytes));
+      core::ClusterEngine(g, prog, {push_cfg(mode, kAlwaysDense, simd_bytes)})
+          .run();
   const auto sparse =
-      core::run_single(g, prog, push_cfg(mode, kAlwaysSparse, simd_bytes));
-  const auto autosw = core::run_single(g, prog, cfg(mode, 0.05, simd_bytes));
+      core::ClusterEngine(g, prog, {push_cfg(mode, kAlwaysSparse, simd_bytes)})
+          .run();
+  const auto autosw =
+      core::ClusterEngine(g, prog, {cfg(mode, 0.05, simd_bytes)}).run();
 
-  EXPECT_EQ(dense.values, sparse.values);
-  EXPECT_EQ(dense.values, autosw.values);
+  EXPECT_EQ(dense.global_values, sparse.global_values);
+  EXPECT_EQ(dense.global_values, autosw.global_values);
   const auto ref = apps::reference_run(g, prog);
   for (vid_t v = 0; v < g.num_vertices(); ++v)
-    ASSERT_EQ(dense.values[v], ref[v]) << "vertex " << v;
+    ASSERT_EQ(dense.global_values[v], ref[v]) << "vertex " << v;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -117,9 +122,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Frontier, CountersTrackActiveSetExactly) {
   const auto g = weighted_graph();
   const apps::Sssp prog(0);
-  const auto res = core::run_single(g, prog, cfg(ExecMode::kLocking, 0.05));
-  ASSERT_FALSE(res.run.trace.empty());
-  for (const auto& c : res.run.trace) {
+  const auto res =
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kLocking, 0.05)}).run();
+  ASSERT_FALSE(res.ranks[0].trace.empty());
+  for (const auto& c : res.ranks[0].trace) {
     // The compact list mirrors the bitmap: its size is the number of
     // vertices that drove generation (push: ran generate_messages; pull:
     // were scanned against as the frontier bitmap).
@@ -131,19 +137,20 @@ TEST(Frontier, CountersTrackActiveSetExactly) {
               1u);
   }
   // Superstep 0: a single-source frontier is far below 5% density.
-  EXPECT_EQ(res.run.trace[0].frontier_size, 1u);
-  EXPECT_EQ(res.run.trace[0].sparse_supersteps, 1u);
+  EXPECT_EQ(res.ranks[0].trace[0].frontier_size, 1u);
+  EXPECT_EQ(res.ranks[0].trace[0].sparse_supersteps, 1u);
 }
 
 TEST(Frontier, DirtyGroupTrackingSkipsUntouchedGroups) {
   const auto g = weighted_graph();
   const apps::Sssp prog(0);
-  const auto res = core::run_single(g, prog, cfg(ExecMode::kLocking, 0.05));
+  const auto res =
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kLocking, 0.05)}).run();
   const std::size_t num_groups =
-      res.run.trace[0].groups_dirty + res.run.trace[0].groups_skipped;
+      res.ranks[0].trace[0].groups_dirty + res.ranks[0].trace[0].groups_skipped;
   ASSERT_GT(num_groups, 0u);
   std::uint64_t best_skip_ratio = 0;
-  for (const auto& c : res.run.trace) {
+  for (const auto& c : res.ranks[0].trace) {
     // dirty + skipped always partitions the group set.
     EXPECT_EQ(c.groups_dirty + c.groups_skipped, num_groups);
     // A group only gets dirty if some message landed in it.
@@ -163,12 +170,15 @@ TEST(Frontier, ConnectedComponentsIdenticalDenseAndSparse) {
   auto g = gen::dblp_like(2000, 6000, 17);
   const apps::ConnectedComponents prog;
   const auto dense =
-      core::run_single(g, prog, cfg(ExecMode::kLocking, kAlwaysDense));
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kLocking, kAlwaysDense)})
+          .run();
   const auto sparse =
-      core::run_single(g, prog, cfg(ExecMode::kLocking, kAlwaysSparse));
-  const auto autosw = core::run_single(g, prog, cfg(ExecMode::kLocking, 0.05));
-  EXPECT_EQ(dense.values, sparse.values);
-  EXPECT_EQ(dense.values, autosw.values);
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kLocking, kAlwaysSparse)})
+          .run();
+  const auto autosw =
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kLocking, 0.05)}).run();
+  EXPECT_EQ(dense.global_values, sparse.global_values);
+  EXPECT_EQ(dense.global_values, autosw.global_values);
 }
 
 TEST(Frontier, BitmapActiveListRoundTripAtDirectionBoundary) {
@@ -182,23 +192,24 @@ TEST(Frontier, BitmapActiveListRoundTripAtDirectionBoundary) {
   const auto g = weighted_graph();
   const apps::Bfs prog(0);
   const auto pushed =
-      core::run_single(g, prog, push_cfg(ExecMode::kLocking, 0.05));
-  const auto autosw = core::run_single(g, prog, cfg(ExecMode::kLocking, 0.05));
-  EXPECT_EQ(pushed.values, autosw.values);
+      core::ClusterEngine(g, prog, {push_cfg(ExecMode::kLocking, 0.05)}).run();
+  const auto autosw =
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kLocking, 0.05)}).run();
+  EXPECT_EQ(pushed.global_values, autosw.global_values);
 
-  const auto ta = metrics::totals(autosw.run.trace);
-  const auto tp = metrics::totals(pushed.run.trace);
+  const auto ta = metrics::totals(autosw.ranks[0].trace);
+  const auto tp = metrics::totals(pushed.ranks[0].trace);
   // The auto run really crossed the boundary (power-law BFS: the dense
   // middle pulls, the sparse tail pushes again) and the forced run never did.
   EXPECT_GE(ta.pull_supersteps, 1u);
   EXPECT_GE(ta.direction_flips, 2u);
   EXPECT_EQ(tp.pull_supersteps, 0u);
-  EXPECT_EQ(tp.push_supersteps, pushed.run.trace.size());
+  EXPECT_EQ(tp.push_supersteps, pushed.ranks[0].trace.size());
   EXPECT_EQ(tp.direction_flips, 0u);
   // Pull work is accounted on its own counters, never on the push ones.
   EXPECT_EQ(tp.pull_edges_scanned, 0u);
   EXPECT_GT(ta.pull_edges_scanned, 0u);
-  for (const auto& c : autosw.run.trace)
+  for (const auto& c : autosw.ranks[0].trace)
     if (c.pull_supersteps) {
       EXPECT_EQ(c.edges_scanned, 0u);
       EXPECT_EQ(c.msgs_local, 0u);
@@ -243,12 +254,16 @@ TEST(Frontier, ToposortIdenticalDenseAndSparse) {
   const auto g = gen::dag_like(1500, 15000, 23);
   const apps::TopoSort prog;
   const auto dense =
-      core::run_single(g, prog, cfg(ExecMode::kPipelining, kAlwaysDense));
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kPipelining, kAlwaysDense)})
+          .run();
   const auto sparse =
-      core::run_single(g, prog, cfg(ExecMode::kPipelining, kAlwaysSparse));
+      core::ClusterEngine(g, prog, {cfg(ExecMode::kPipelining, kAlwaysSparse)})
+          .run();
+  const auto& d = dense.global_values;
+  const auto& s = sparse.global_values;
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(dense.values[v].order, sparse.values[v].order);
-    EXPECT_EQ(dense.values[v].remaining, sparse.values[v].remaining);
+    EXPECT_EQ(d[v].order, s[v].order);
+    EXPECT_EQ(d[v].remaining, s[v].remaining);
   }
 }
 

@@ -151,11 +151,6 @@ std::vector<typename Program::vertex_value_t> run_batched(
     const graph::Csr& g, const Program& prog, int nranks, double density,
     core::DirectionMode dir, std::uint64_t salt,
     metrics::SuperstepCounters* totals_out = nullptr) {
-  if (nranks == 1) {
-    const auto res = core::run_single(g, prog, base_cfg(density, dir, salt));
-    if (totals_out != nullptr) *totals_out = metrics::totals(res.run.trace);
-    return res.values;
-  }
   std::vector<EngineConfig> cfgs;
   for (int r = 0; r < nranks; ++r)
     cfgs.push_back(base_cfg(density, dir, salt + static_cast<std::uint64_t>(r)));
@@ -295,10 +290,12 @@ TEST(QueryDifferential, BatchedEdgeScansConservedAgainstSequential) {
 
   std::uint64_t sequential = 0;
   for (int l = 0; l < batch.count; ++l) {
-    const auto res = core::run_single(
-        g, apps::Bfs(batch.source[static_cast<std::size_t>(l)]),
-        base_cfg(0.0, core::DirectionMode::kForcePush, 3));
-    const auto t = metrics::totals(res.run.trace);
+    const auto res =
+        core::ClusterEngine(
+            g, apps::Bfs(batch.source[static_cast<std::size_t>(l)]),
+            {base_cfg(0.0, core::DirectionMode::kForcePush, 3)})
+            .run();
+    const auto t = metrics::totals(res.ranks[0].trace);
     sequential += t.edges_scanned + t.pull_edges_scanned;
   }
 

@@ -101,11 +101,6 @@ class AllToAll {
     // span has no superstep of its own — exchanges also carry control
     // traffic — so it is excluded from phase-time accounting.
     PG_TRACE_SCOPE(kExchangeWait, -1, rank);
-    if (n_ == 1) {
-      Result r;
-      r.values.resize(1);
-      return r;  // degenerate single-rank "cluster": nothing to swap
-    }
     const auto until = std::chrono::steady_clock::now() + deadline;
     std::unique_lock<sync::Mutex> l(mu_);
     // Deposits made by this call belong to the epoch current at entry. If

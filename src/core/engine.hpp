@@ -37,7 +37,8 @@
 // RunResult::failed set instead of throwing; an engine with peers also
 // poisons the AllToAll channels, so they wake immediately. Peer exchanges
 // are deadline-bounded, and an optional checkpoint store snapshots
-// values + frontier + superstep at BSP boundaries for CPU-only failover.
+// values + active flags + superstep at BSP boundaries for the recovery
+// ladder.
 #pragma once
 
 #include <algorithm>
@@ -242,11 +243,11 @@ class DeviceEngine {
   }
 
   /// Reload state from a checkpoint snapshot (local-indexed values + active
-  /// bitmap) and arrange for run() to resume at `superstep`. Valid on a
-  /// freshly constructed engine (the single-device failover path) and on an
-  /// engine whose previous run() already returned — the recovery ladder
-  /// restores the surviving ranks in place, so every trace of the aborted
-  /// epoch is discarded here: buffered remote deposits, accumulated traffic
+  /// flags) and arrange for run() to resume at `superstep`. Valid on a
+  /// freshly constructed engine (a rank the recovery ladder rebuilt) and on
+  /// an engine whose previous run() already returned — rung 1 restores the
+  /// surviving ranks in place, so every trace of the aborted epoch is
+  /// discarded here: buffered remote deposits, accumulated traffic
   /// counters, and (via the next prepare()) the dirtied CSB groups. If a
   /// checkpoint store is attached, the restored state is written back as a
   /// frame at `superstep`, so the cluster keeps a common resume point for
@@ -612,7 +613,6 @@ class DeviceEngine {
     if (!values_.empty())
       std::memcpy(f.values.data(), values_.data(), f.values.size());
     f.active = active_;
-    f.frontier = frontier_;
     f.seal();
     return f;
   }
@@ -1292,12 +1292,13 @@ class DeviceEngine {
                             [this](Batch& in) { insert_incoming(in); });
   }
 
-  /// Insert one source rank's batch into the local CSB (or the OMP
-  /// accumulators). When send-side combining is off but the program does
-  /// declare a combiner, the batch is first pre-combined per destination —
-  /// sequentially, folding in arrival order, which reproduces the sender's
-  /// combine exactly — so a combined and an uncombined run insert identical
-  /// message sets and differ only in wire bytes / received-message counts.
+  /// Insert one source rank's batch into the local CSB (an engine with peers
+  /// never runs the OMP baseline). When send-side combining is off but the
+  /// program does declare a combiner, the batch is first pre-combined per
+  /// destination — sequentially, folding in arrival order, which reproduces
+  /// the sender's combine exactly — so a combined and an uncombined run
+  /// insert identical message sets and differ only in wire bytes /
+  /// received-message counts.
   void insert_incoming(Batch& incoming) {
     tstats_[0].c.msgs_received += incoming.size();
     if (!combine_enabled_ && combiner_kind<Program>() != CombinerKind::kNone)
@@ -1309,17 +1310,11 @@ class DeviceEngine {
       while (auto r = sched_.next_chunk()) {
         for (std::size_t i = r->begin; i < r->end; ++i) {
           const auto& env = incoming[i];
-          if (cfg_.mode == ExecMode::kOmpStyle) {
-            OmpSink sink{this, &ts};
-            sink.send(env.dst, env.value);
-            --ts.ins.inserted;  // counted as received, not locally generated
-          } else {
-            buffer::InsertStats dummy;
-            csb_->insert(local_id(env.dst), env.value, dummy);
-            ts.ins.conflicts += dummy.conflicts;
-            ts.ins.columns_allocated += dummy.columns_allocated;
-            ts.ins.lock_acquisitions += dummy.lock_acquisitions;
-          }
+          buffer::InsertStats dummy;
+          csb_->insert(local_id(env.dst), env.value, dummy);
+          ts.ins.conflicts += dummy.conflicts;
+          ts.ins.columns_allocated += dummy.columns_allocated;
+          ts.ins.lock_acquisitions += dummy.lock_acquisitions;
         }
       }
     });

@@ -13,22 +13,22 @@
 // Fault tolerance (DESIGN.md §6/§12): DeviceEngine::run() never throws, and
 // the spawned rank threads are std::jthreads, joined on every exit path.
 // When any rank faults, run() walks a graceful-degradation recovery ladder
-// instead of collapsing straight to one device:
+// instead of collapsing straight to one device. Every rung resumes through
+// one move, reseat(): the newest checkpoint frame that CRC-validates on ALL
+// ranks of the failed set is scattered through global vertex ids onto a
+// rank set, or the run restarts from superstep 0 when there is none.
 //
 //   rung 1 — transient respawn: for a fault classified kTransient (timeouts,
 //     fault::TransientError, injected transient specs), rebuild the failed
-//     rank's engine, restore every rank from the newest checkpoint frame
-//     that CRC-validates on ALL ranks, advance the channels' recovery epoch,
-//     and resume all N ranks. Bounded by fault::RetryPolicy (max attempts,
-//     exponential backoff).
+//     rank's engine, reseat the cluster onto itself (survivors restore in
+//     place), advance the channels' recovery epoch, and resume all N ranks.
+//     Bounded by fault::RetryPolicy (max attempts, exponential backoff).
 //   rung 2 — survivor repartition: for a permanent fault (or an exhausted
 //     retry budget) with a known culprit and at least two survivors, deal
 //     the dead rank's vertices over the N-1 survivors (reweighted by their
-//     thread budgets), rebuild fresh channels + engines, restore from the
-//     same common frame, and finish on N-1 ranks.
-//   rung 3 — single-device rerun: the pre-ladder behaviour; one engine over
-//     ALL partitions, seeded from the newest common frame (or restarted from
-//     superstep 0), finishes the computation CPU-only.
+//     thread budgets), reseat onto that rank set, and finish on N-1 ranks.
+//   rung 3 — single-device rerun: reseat onto a one-rank set (one engine
+//     over the whole graph, the combined thread budget) and finish there.
 //
 // The outcome — origin FaultReport, attempts, epochs, deepest rung, lost
 // supersteps, per-epoch recovery wall time — is reported in
@@ -175,8 +175,7 @@ class ClusterEngine {
       // survivor run faults again); returns false only when repartitioning
       // is impossible here.
       if (try_repartition(res, epoch_fault)) return res;
-      // Rung 3: the single-device rerun, resuming from the old rank set's
-      // checkpoint frames.
+      // Rung 3: the single-device rerun, reseated from the old rank set.
       fail_over(res, epoch_fault, cluster_.engines);
       return res;
     }
@@ -208,7 +207,8 @@ class ClusterEngine {
 
   /// A set of ranks over the graph: its partition, each rank's config, the
   /// channels that wire the ranks together, and their engines. The full
-  /// cluster is one; the survivors of a rung-2 repartition are another.
+  /// cluster is one; the survivors of a rung-2 repartition and rung 3's
+  /// single device are others.
   struct RankSet {
     RankSet(std::vector<int> owner_rank, std::vector<EngineConfig> configs)
         : owner(std::move(owner_rank)),
@@ -336,88 +336,88 @@ class ClusterEngine {
     res.failover.lost_supersteps = std::max(res.failover.lost_supersteps, lost);
   }
 
-  /// Newest resume superstep whose frame CRC-validates in EVERY store of
-  /// `src` — a frame corrupted on any rank (torn write, injected fault, bit
-  /// flip) drops that superstep and the search falls back to the previous
-  /// one. Leaves `frames` empty (resume 0) when any store is missing or no
-  /// superstep validates everywhere.
-  static void find_common_frames(
-      const std::vector<std::unique_ptr<Engine>>& src, int& resume,
-      std::vector<fault::CheckpointFrame>& frames) {
-    resume = 0;
-    frames.clear();
-    for (const auto& e : src)
-      if (e->checkpoint_store() == nullptr) return;
-    for (int s : src[0]->checkpoint_store()->valid_supersteps()) {
-      std::vector<fault::CheckpointFrame> cand;
-      cand.reserve(src.size());
-      for (const auto& e : src) {
+  /// The ladder's one recovery move: resume the run on rank set `to` from the
+  /// checkpoints of `from`, the engines of the rank set that failed.
+  ///  1. Scatter the newest superstep whose frame CRC-validates in EVERY
+  ///     store of `from` into global-indexed values and active flags. A
+  ///     frame corrupted on any rank (torn write, injected fault, bit flip)
+  ///     drops that superstep and the search falls back to the previous one;
+  ///     a frame that does not match its partition's shape (a structurally
+  ///     damaged but CRC-lucky file) leaves no usable frame.
+  ///  2. Build `to`: only rank `only` when a frame was scattered (the other
+  ///     engines restore in place), every rank otherwise.
+  ///  3. Restore every engine of `to` through its global ids.
+  /// Returns the superstep the run resumes at: 0, with nothing restored, when
+  /// no frame is usable (frames land at supersteps >= 1). `from` may be
+  /// `to.engines` itself (rung 1); it is read in full before the build
+  /// replaces an engine.
+  int reseat(RankSet& to, const Engines& from, int only) const {
+    bool stored = true;
+    for (const auto& e : from)
+      stored = stored && e->checkpoint_store() != nullptr;
+    const std::vector<int> newest_first =
+        stored ? from[0]->checkpoint_store()->valid_supersteps()
+               : std::vector<int>{};
+    int resume = 0;
+    std::vector<fault::CheckpointFrame> frames;
+    for (int s : newest_first) {
+      frames.clear();
+      for (const auto& e : from) {
         auto f = e->checkpoint_store()->frame_at(s);
         if (!f) break;
-        cand.push_back(std::move(*f));
+        frames.push_back(std::move(*f));
       }
-      if (cand.size() == src.size()) {
-        frames = std::move(cand);
+      if (frames.size() == from.size()) {
         resume = s;
-        return;
+        break;
       }
     }
+    std::vector<Value> vals(resume > 0 ? graph_->num_vertices() : 0);
+    std::vector<std::uint8_t> act(vals.size());
+    for (std::size_t r = 0; resume > 0 && r < from.size(); ++r) {
+      const fault::CheckpointFrame& f = frames[r];
+      const std::vector<vid_t>& gid = from[r]->local_graph().global_id;
+      if (f.values.size() != gid.size() * sizeof(Value) ||
+          f.active.size() != gid.size()) {
+        resume = 0;
+        break;
+      }
+      for (std::size_t u = 0; u < gid.size(); ++u) {
+        std::memcpy(&vals[gid[u]], f.values.data() + u * sizeof(Value),
+                    sizeof(Value));
+        act[gid[u]] = f.active[u];
+      }
+    }
+
+    build(to, resume > 0 ? only : -1);
+    if (resume == 0) return 0;
+    for (const auto& e : to.engines) {
+      const std::vector<vid_t>& gid = e->local_graph().global_id;
+      std::vector<Value> lv(gid.size());
+      std::vector<std::uint8_t> la(gid.size());
+      for (std::size_t u = 0; u < gid.size(); ++u) {
+        lv[u] = vals[gid[u]];
+        la[u] = act[gid[u]];
+      }
+      e->restore(lv, la, resume);
+    }
+    return resume;
   }
 
-  /// Restore one engine in place from its own rank's frame. Returns false on
-  /// a shape mismatch (e.g. a structurally damaged but CRC-lucky file).
-  static bool restore_from_frame(Engine& e, const fault::CheckpointFrame& f,
-                                 int resume) {
-    const std::size_t n =
-        static_cast<std::size_t>(e.local_graph().num_local_vertices());
-    if (f.values.size() != n * sizeof(Value) || f.active.size() != n)
-      return false;
-    std::vector<Value> vals(n);
-    if (n > 0) std::memcpy(vals.data(), f.values.data(), f.values.size());
-    e.restore(vals, f.active, resume);
-    return true;
-  }
-
-  /// Ladder rung 1: respawn the failed rank's engine, restore every rank
-  /// from the newest common frame (surviving ranks restore in place; with no
-  /// usable frame, or an unidentified culprit, everything is rebuilt and the
-  /// run restarts from superstep 0), and open a fresh channel epoch so
-  /// nothing staged in the aborted round can leak into the resumed one.
-  /// Returns false when the respawn itself fails — the caller falls further
-  /// down the ladder.
+  /// Ladder rung 1: respawn the failed rank's engine and reseat the cluster
+  /// onto itself, so the surviving ranks restore in place (with no usable
+  /// frame, or an unidentified culprit, every rank is rebuilt and the run
+  /// restarts from superstep 0), then open a fresh channel epoch so nothing
+  /// staged in the aborted round can leak into the resumed one. Returns
+  /// false when the respawn itself fails — the caller falls further down
+  /// the ladder.
   bool try_respawn(const fault::FaultReport& epoch_fault, Result& res) {
     PG_TRACE_SCOPE(kRecovery, -1, 0);
     Timer rec;
     try {
-      int resume = 0;
-      std::vector<fault::CheckpointFrame> frames;
-      find_common_frames(cluster_.engines, resume, frames);
       const int dead = epoch_fault.rank;
-      if (frames.empty() || dead < 0 || dead >= nranks_) {
-        build(cluster_);
-        if (!frames.empty()) {
-          for (int r = 0; r < nranks_; ++r)
-            if (!restore_from_frame(
-                    *cluster_.engines[static_cast<std::size_t>(r)],
-                    frames[static_cast<std::size_t>(r)], resume)) {
-              build(cluster_);  // shape mismatch: restart from scratch
-              resume = 0;
-              break;
-            }
-        } else {
-          resume = 0;
-        }
-      } else {
-        build(cluster_, dead);
-        for (int r = 0; r < nranks_; ++r)
-          if (!restore_from_frame(
-                  *cluster_.engines[static_cast<std::size_t>(r)],
-                  frames[static_cast<std::size_t>(r)], resume)) {
-            build(cluster_);
-            resume = 0;
-            break;
-          }
-      }
+      const int resume = reseat(cluster_, cluster_.engines,
+                                dead >= 0 && dead < nranks_ ? dead : -1);
       cluster_.data.advance_epoch();
       cluster_.control.advance_epoch();
       record_epoch(res, epoch_fault, resume, /*rung=*/1, rec.millis());
@@ -429,11 +429,8 @@ class ClusterEngine {
 
   /// Ladder rung 2: write the dead rank off and finish on the N-1 survivors.
   /// The dead rank's vertices are dealt over the survivors weighted by their
-  /// thread budgets (partition::reassign_after_loss), fresh channels and
-  /// engines are built for the reduced rank set, and every survivor engine
-  /// is seeded from the newest common frame of the OLD rank set scattered
-  /// through global vertex ids (the repartition moves vertices between
-  /// ranks, so per-rank frames cannot be restored in place).
+  /// thread budgets (partition::reassign_after_loss), and the old rank set
+  /// is reseated onto the survivors' fresh channels and engines.
   ///
   /// Finalizes `res` on success AND when the survivor run faults again (that
   /// falls to rung 3 using the survivors' own checkpoint stores, so progress
@@ -463,42 +460,7 @@ class ClusterEngine {
       survivors.emplace(partition::reassign_after_loss(
                             *graph_, cluster_.owner, nranks_, dead, w),
                         std::move(scfgs));
-
-      // Global restore state from the old rank set's newest common frame.
-      std::vector<fault::CheckpointFrame> frames;
-      find_common_frames(cluster_.engines, resume, frames);
-      const vid_t n = graph_->num_vertices();
-      std::vector<Value> vals;
-      std::vector<std::uint8_t> act;
-      bool have_state = false;
-      if (!frames.empty()) {
-        vals.assign(n, Value{});
-        act.assign(n, 0);
-        bool ok = true;
-        for (std::size_t r = 0; r < frames.size(); ++r)
-          ok = ok && apply_frame(frames[r],
-                                 cluster_.engines[r]->local_graph(), vals, act);
-        if (ok)
-          have_state = true;
-        else
-          resume = 0;  // frame shape mismatch: restart from scratch
-      }
-
-      build(*survivors);
-      if (have_state) {
-        for (auto& e : survivors->engines) {
-          const auto& lg = e->local_graph();
-          const std::size_t ln =
-              static_cast<std::size_t>(lg.num_local_vertices());
-          std::vector<Value> lv(ln);
-          std::vector<std::uint8_t> la(ln);
-          for (std::size_t u = 0; u < ln; ++u) {
-            lv[u] = vals[lg.global_id[u]];
-            la[u] = act[lg.global_id[u]];
-          }
-          e->restore(lv, la, resume);
-        }
-      }
+      resume = reseat(*survivors, cluster_.engines, /*only=*/-1);
     } catch (...) {
       return false;  // rebuilding failed: rung 3 from the old rank set
     }
@@ -516,63 +478,25 @@ class ClusterEngine {
     return true;
   }
 
-  /// Ladder rung 3 — single-device failover: rebuild one engine over ALL
-  /// partitions, seed it from the newest checkpoint superstep that validates
-  /// on every rank of `src` (falling back to superstep 0), and run it to
-  /// completion.
+  /// Ladder rung 3 — single-device failover: reseat `from` onto a one-rank
+  /// set (one engine over the whole graph, under recovery_cfg_) and run it
+  /// to completion.
   void fail_over(Result& res, const fault::FaultReport& epoch_fault,
-                 const std::vector<std::unique_ptr<Engine>>& src) {
+                 const Engines& from) {
     PG_TRACE_SCOPE(kRecovery, -1, 0);
     Timer rec;
-
-    int resume = 0;
-    std::vector<fault::CheckpointFrame> frames;
-    find_common_frames(src, resume, frames);
-
-    // LocalGraph::whole maps local == global, so scattering each partition's
-    // snapshot through its global_id table lands directly on the recovery
-    // engine's indices.
-    Engine engine(LocalGraph::whole(*graph_), prog_, recovery_cfg_);
-    if (!frames.empty()) {
-      const vid_t n = graph_->num_vertices();
-      std::vector<Value> vals(n);
-      std::vector<std::uint8_t> act(n, 0);
-      bool ok = true;
-      for (std::size_t r = 0; r < frames.size(); ++r)
-        ok = ok && apply_frame(frames[r], src[r]->local_graph(), vals, act);
-      if (!ok)
-        resume = 0;  // frame shape mismatch: restart from scratch
-      else
-        engine.restore(vals, act, resume);
-    }
+    RankSet single(std::vector<int>(graph_->num_vertices(), 0),
+                   {recovery_cfg_});
+    const int resume = reseat(single, from, /*only=*/-1);
     record_epoch(res, epoch_fault, resume, /*rung=*/3, rec.millis());
 
-    res.recovery = engine.run();
+    res.recovery = std::move(run_ranks(single).front());
     if (res.recovery.failed) {
       res.completed = false;
       res.fault.what += "; recovery also failed: " + res.recovery.fault.what;
       return;
     }
-    res.global_values.assign(engine.values().begin(), engine.values().end());
-  }
-
-  /// Scatter one rank's checkpointed values/active bits into global-indexed
-  /// arrays. Returns false if the frame does not match the partition shape
-  /// (e.g. a structurally damaged but CRC-lucky file) — callers then restart
-  /// from superstep 0 instead of loading garbage.
-  static bool apply_frame(const fault::CheckpointFrame& f,
-                          const LocalGraph& lg, std::vector<Value>& vals,
-                          std::vector<std::uint8_t>& act) {
-    const std::size_t n = static_cast<std::size_t>(lg.num_local_vertices());
-    if (f.values.size() != n * sizeof(Value) || f.active.size() != n)
-      return false;
-    for (std::size_t u = 0; u < n; ++u) {
-      const vid_t g = lg.global_id[u];
-      std::memcpy(&vals[g], f.values.data() + u * sizeof(Value),
-                  sizeof(Value));
-      act[g] = f.active[u];
-    }
-    return true;
+    gather(single, res.global_values);
   }
 
   const graph::Csr* graph_;

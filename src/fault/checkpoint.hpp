@@ -1,13 +1,13 @@
 // Superstep checkpointing — CRC32-validated snapshots of one device's BSP
-// state (vertex values + active bitmap + compact frontier + resume
-// superstep), taken at superstep boundaries where no messages are in flight.
+// state (vertex values + active flags + resume superstep), taken at superstep
+// boundaries where no messages are in flight.
 //
 // A CheckpointStore keeps the last two frames (current + previous) either in
 // memory or file-backed. Reads always re-validate the CRC: a corrupted frame
 // is rejected and the reader falls back to the previous frame (or superstep
-// 0) rather than loading garbage. Both devices of a heterogeneous run
-// checkpoint at the same superstep numbers (same interval), so the failover
-// path resumes from the newest superstep that validates in *both* stores.
+// 0) rather than loading garbage. Every rank of a cluster checkpoints at the
+// same superstep numbers (same interval), so recovery resumes from the newest
+// superstep that validates in every rank's store.
 #pragma once
 
 #include <array>
@@ -22,7 +22,6 @@
 #include "src/common/expect.hpp"
 #include "src/common/sync.hpp"
 #include "src/common/thread_safety.hpp"
-#include "src/common/types.hpp"
 #include "src/fault/fault_injection.hpp"
 #include "src/metrics/trace.hpp"
 
@@ -82,24 +81,21 @@ class Crc32 {
 
 /// One snapshot. `values` holds the device's vertex values as raw bytes
 /// (vertex value types are trivially copyable); `active` is the per-vertex
-/// active bitmap; `frontier` the compact active list; `superstep` is the
-/// superstep execution resumes at.
+/// active flags, from which a restore rebuilds the frontier; `superstep` is
+/// the superstep execution resumes at.
 struct CheckpointFrame {
   int superstep = 0;
   std::vector<std::uint8_t> values;
   std::vector<std::uint8_t> active;
-  std::vector<vid_t> frontier;
   std::uint32_t crc = 0;
 
   [[nodiscard]] std::uint32_t compute_crc() const noexcept {
     Crc32 c;
-    const std::uint64_t header[4] = {
-        static_cast<std::uint64_t>(superstep), values.size(), active.size(),
-        frontier.size()};
+    const std::uint64_t header[3] = {static_cast<std::uint64_t>(superstep),
+                                     values.size(), active.size()};
     c.update(header, sizeof header);
     c.update(values.data(), values.size());
     c.update(active.data(), active.size());
-    c.update(frontier.data(), frontier.size() * sizeof(vid_t));
     return c.value();
   }
 
@@ -286,14 +282,12 @@ class CheckpointStore {
       ok = ok && std::fwrite(p, 1, bytes, fp) == bytes;
     };
     const std::uint32_t magic = kMagic;
-    const std::uint64_t header[4] = {
-        static_cast<std::uint64_t>(f.superstep), f.values.size(),
-        f.active.size(), f.frontier.size()};
+    const std::uint64_t header[3] = {static_cast<std::uint64_t>(f.superstep),
+                                     f.values.size(), f.active.size()};
     put(&magic, sizeof magic);
     put(header, sizeof header);
     put(f.values.data(), f.values.size());
     put(f.active.data(), f.active.size());
-    put(f.frontier.data(), f.frontier.size() * sizeof(vid_t));
     put(&f.crc, sizeof f.crc);
     // Flush userspace buffers and force the bytes to stable storage before
     // the rename: otherwise the rename could land while the data is still
@@ -326,23 +320,20 @@ class CheckpointStore {
       ok = ok && std::fread(p, 1, bytes, fp) == bytes;
     };
     std::uint32_t magic = 0;
-    std::uint64_t header[4] = {0, 0, 0, 0};
+    std::uint64_t header[3] = {0, 0, 0};
     get(&magic, sizeof magic);
     get(header, sizeof header);
     CheckpointFrame f;
     constexpr std::uint64_t kSane = 1ull << 40;  // reject absurd lengths
-    if (!ok || magic != kMagic || header[1] > kSane || header[2] > kSane ||
-        header[3] > kSane) {
+    if (!ok || magic != kMagic || header[1] > kSane || header[2] > kSane) {
       std::fclose(fp);
       return std::nullopt;
     }
     f.superstep = static_cast<int>(header[0]);
     f.values.resize(static_cast<std::size_t>(header[1]));
     f.active.resize(static_cast<std::size_t>(header[2]));
-    f.frontier.resize(static_cast<std::size_t>(header[3]));
     get(f.values.data(), f.values.size());
     get(f.active.data(), f.active.size());
-    get(f.frontier.data(), f.frontier.size() * sizeof(vid_t));
     get(&f.crc, sizeof f.crc);
     std::fclose(fp);
     if (!ok) return std::nullopt;

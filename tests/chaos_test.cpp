@@ -122,9 +122,10 @@ void soak(int nranks, std::uint64_t seed, bool file_backed) {
     EXPECT_EQ(res.failover.epochs, 0u);
   }
   if (res.completed) {
-    if (res.failover.failed_over)
+    if (res.failover.failed_over) {
       EXPECT_LT(res.failover.lost_supersteps,
                 static_cast<std::uint64_t>(kInterval));
+    }
     ASSERT_EQ(res.global_values.size(), classic.size());
     for (vid_t v = 0; v < g.num_vertices(); ++v)
       ASSERT_EQ(res.global_values[v], classic[v]) << "vertex " << v;

@@ -8,9 +8,9 @@
 //  * checkpointed recovery is exact: BFS levels after a mid-run MIC failure
 //    are bit-identical to a fault-free single-device run (min-combine is
 //    reduction-order independent);
-//  * from-scratch recovery re-runs the full computation, and pulled
-//    PageRank folds in a fixed order at any thread count, so its floats are
-//    bit-identical to the single-device reference;
+//  * pulled PageRank folds in a fixed order at any rank and thread count,
+//    so its recovery at every rung, from scratch or from a frame, ends
+//    bit-identical to the sequential reference;
 //  * lost work is bounded by the checkpoint interval, and a wedged rank is
 //    caught by the exchange deadline;
 //  * one device keeps the same contract: a throwing program ends
@@ -158,6 +158,7 @@ TEST(HeteroFailover, ThrowingProgramFailsOverInsteadOfTerminating) {
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_NEAR(res.global_values[v], classic[v], 1e-3f * (1.0f + classic[v]))
         << "vertex " << v;
+  EXPECT_EQ(res.global_values, apps::reference_run(g, apps::PageRank(), 10));
 }
 
 TEST(HeteroFailover, BfsCheckpointRecoveryIsBitIdenticalToSingleDevice) {
@@ -238,6 +239,7 @@ TEST(HeteroFailover, LostSuperstepsAreBoundedByTheCheckpointInterval) {
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     EXPECT_NEAR(res.global_values[v], classic[v], 1e-3f * (1.0f + classic[v]))
         << "vertex " << v;
+  EXPECT_EQ(res.global_values, apps::reference_run(g, apps::PageRank(), 10));
 }
 
 // A rank that stalls in update_vertex without throwing never poisons the
@@ -561,6 +563,56 @@ TEST(ClusterFailover, KillEachRankRecoversBitIdentical) {
   }
 }
 
+// Pulled PageRank folds every vertex's in-neighbor shares in ascending
+// source order at any rank and thread count, so a recovery that resumes
+// from the right values, active flags and superstep ends bit-identical to
+// the fault-free reference. A one-shot fault on rank 2 at superstep 3
+// resumes from the frame at superstep 2: a transient one on all four ranks
+// (rung 1, the survivors restoring in place), a permanent one on the three
+// survivors of a repartition (rung 2).
+TEST(ClusterFailover, PulledPageRankRecoversExactlyAtRungsOneAndTwo) {
+  phigraph::testing::Watchdog dog(std::chrono::seconds(300));
+  const auto g = test_graph();
+  constexpr int kRanks = 4;
+  constexpr int kSteps = 10;
+  constexpr int kVictim = 2;
+  auto owner = std::make_shared<std::vector<int>>(g.num_vertices());
+  for (vid_t v = 0; v < g.num_vertices(); ++v)
+    (*owner)[v] = static_cast<int>(v % kRanks);
+  std::vector<EngineConfig> cfgs;
+  for (int r = 0; r < kRanks; ++r) {
+    auto c = r % 2 == 0 ? cpu_cfg() : mic_cfg();
+    c.max_supersteps = kSteps;
+    c.checkpoint.interval = 2;  // frames at resume supersteps 2, 4, ...
+    c.retry.backoff_ms = 0;
+    cfgs.push_back(c);
+  }
+  const auto ref = apps::reference_run(g, apps::PageRank(), kSteps);
+
+  for (const bool transient : {true, false}) {
+    SCOPED_TRACE(transient ? "transient" : "permanent");
+    const ShotThrowOnRank<apps::PageRank> prog(apps::PageRank(), owner,
+                                               kVictim, /*superstep=*/3,
+                                               /*shots=*/1, transient);
+    core::ClusterEngine<ShotThrowOnRank<apps::PageRank>> ce(g, *owner, prog,
+                                                            cfgs);
+    const auto res = ce.run();
+
+    ASSERT_TRUE(res.completed) << res.fault.to_string();
+    EXPECT_EQ(res.fault.rank, kVictim);
+    EXPECT_EQ(res.fault.superstep, 3);
+    EXPECT_EQ(res.fault.kind, transient ? fault::FaultKind::kTransient
+                                        : fault::FaultKind::kPermanent);
+    EXPECT_EQ(res.failover.rung, transient ? 1u : 2u);
+    EXPECT_EQ(res.failover.attempts, transient ? 1u : 0u);
+    EXPECT_EQ(res.failover.epochs, 1u);
+    EXPECT_EQ(res.failover.lost_supersteps, 1u);
+    EXPECT_EQ(res.recovery_ranks.size(),
+              transient ? 0u : static_cast<std::size_t>(kRanks - 1));
+    EXPECT_EQ(res.global_values, ref);
+  }
+}
+
 // Without peers there is no channel to poison, but the contract is the
 // same: the fault ends run() with `failed` set and a report naming rank 0,
 // the superstep and the phase, instead of escaping as an exception.
@@ -610,6 +662,42 @@ TEST(SingleDeviceFaults, OneRankClusterRecoversAtRungThree) {
   EXPECT_EQ(res.recovery.supersteps, kSteps);
   EXPECT_EQ(res.global_values,
             apps::reference_run(g, apps::PageRank(), kSteps));
+}
+
+// A 1-rank cluster resumes from its own checkpoint like any rank set. With
+// frames every 2 supersteps, a one-shot fault at superstep 3 resumes from
+// superstep 2: in a respawned engine for a transient fault (rung 1), in
+// rung 3's fresh whole-graph engine for a permanent one. Pulled PageRank
+// ends bit-identical to the fault-free reference either way.
+TEST(SingleDeviceFaults, OneRankClusterResumesFromItsCheckpoint) {
+  phigraph::testing::Watchdog dog(std::chrono::seconds(120));
+  const auto g = test_graph();
+  auto owner = std::make_shared<std::vector<int>>(g.num_vertices(), 0);
+  constexpr int kSteps = 10;
+  EngineConfig cfg = cpu_cfg();
+  cfg.max_supersteps = kSteps;
+  cfg.checkpoint.interval = 2;
+  cfg.retry.backoff_ms = 0;
+  const auto ref = apps::reference_run(g, apps::PageRank(), kSteps);
+
+  for (const bool transient : {true, false}) {
+    SCOPED_TRACE(transient ? "transient" : "permanent");
+    const ShotThrowOnRank<apps::PageRank> prog(apps::PageRank(), owner,
+                                               /*rank=*/0, /*superstep=*/3,
+                                               /*shots=*/1, transient);
+    const auto res = core::ClusterEngine(g, prog, {cfg}).run();
+
+    ASSERT_TRUE(res.completed) << res.fault.to_string();
+    EXPECT_EQ(res.fault.rank, 0);
+    EXPECT_EQ(res.fault.superstep, 3);
+    EXPECT_EQ(res.failover.rung, transient ? 1u : 3u);
+    EXPECT_EQ(res.failover.attempts, transient ? 1u : 0u);
+    EXPECT_EQ(res.failover.epochs, 1u);
+    EXPECT_EQ(res.failover.lost_supersteps, 1u);
+    EXPECT_EQ(transient ? res.ranks[0].supersteps : res.recovery.supersteps,
+              kSteps);
+    EXPECT_EQ(res.global_values, ref);
+  }
 }
 
 }  // namespace

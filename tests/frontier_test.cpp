@@ -113,9 +113,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{ExecMode::kLocking, 16},
                       std::pair{ExecMode::kLocking, 64},
                       std::pair{ExecMode::kPipelining, 64}),
-    [](const ::testing::TestParamInfo<std::pair<ExecMode, int>>& info) {
-      std::string s = core::exec_mode_name(info.param.first);
-      s += info.param.second == 64 ? "_MIC" : "_CPU";
+    [](const ::testing::TestParamInfo<std::pair<ExecMode, int>>& pi) {
+      std::string s = core::exec_mode_name(pi.param.first);
+      s += pi.param.second == 64 ? "_MIC" : "_CPU";
       return s;
     });
 
@@ -154,7 +154,9 @@ TEST(Frontier, DirtyGroupTrackingSkipsUntouchedGroups) {
     // dirty + skipped always partitions the group set.
     EXPECT_EQ(c.groups_dirty + c.groups_skipped, num_groups);
     // A group only gets dirty if some message landed in it.
-    if (c.msgs_local == 0) EXPECT_EQ(c.groups_dirty, 0u);
+    if (c.msgs_local == 0) {
+      EXPECT_EQ(c.groups_dirty, 0u);
+    }
     if (c.groups_dirty > 0)
       best_skip_ratio =
           std::max(best_skip_ratio, c.groups_skipped / c.groups_dirty);

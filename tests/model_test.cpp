@@ -156,7 +156,6 @@ fault::CheckpointFrame make_frame(int superstep) {
   f.superstep = superstep;
   f.values.assign(8, static_cast<std::uint8_t>(superstep));
   f.active.assign(4, static_cast<std::uint8_t>(superstep * 3));
-  f.frontier = {static_cast<vid_t>(superstep)};
   f.seal();
   return f;
 }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/common/sync.hpp"
 #include "src/pipeline/spsc_queue.hpp"
 #include "watchdog.hpp"
 
@@ -43,8 +44,7 @@ void maybe_stall(Rng& rng) {
   if (roll == 0) {
     std::this_thread::yield();
   } else if (roll < 4) {
-    for (volatile int spin = 0; spin < static_cast<int>(rng.below(200)); ++spin) {
-    }
+    for (auto spin = rng.below(32); spin > 0; --spin) sync::cpu_relax();
   }
 }
 
@@ -94,7 +94,9 @@ void run_stress(std::size_t capacity, std::uint64_t seed) {
   EXPECT_EQ(q.size(), 0u);
   // A ring this small against this many items must have hit backpressure —
   // otherwise the test never exercised the full-queue path it exists for.
-  if (capacity <= 16) EXPECT_GT(full_spins.load(), 0u);
+  if (capacity <= 16) {
+    EXPECT_GT(full_spins.load(), 0u);
+  }
 }
 
 TEST(SpscStress, TinyRingMaximizesBackpressure) { run_stress(4, 0x51ee7); }

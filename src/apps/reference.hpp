@@ -36,7 +36,7 @@ std::vector<typename Program::vertex_value_t> reference_run(
   const vid_t n = g.num_vertices();
   std::vector<Value> values(n);
   std::vector<std::uint8_t> active(n, 0);
-  const auto in_deg = g.in_degrees();
+  const auto& in_deg = g.in_degrees();
 
   const bool weighted = g.has_edge_values();
   for (vid_t u = 0; u < n; ++u) {
@@ -53,10 +53,7 @@ std::vector<typename Program::vertex_value_t> reference_run(
   view.edges = g.targets();
   view.edge_value = g.edge_values();
   view.vertex_value = values;
-  std::vector<vid_t> ident(n);
-  for (vid_t v = 0; v < n; ++v) ident[v] = v;
   view.in_degree = in_deg;
-  view.global_id = ident;
 
   struct Inbox {
     Msg acc;

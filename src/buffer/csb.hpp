@@ -2,11 +2,13 @@
 //
 // Construction (once per graph):
 //   1. Sort vertices by in-degree, descending (ties by id — this reproduces
-//      the paper's Fig. 3 ordering). A redirection map translates original
-//      destination ids to sorted positions.
+//      the paper's Fig. 3 ordering) with one counting sort. A redirection map
+//      translates original destination ids to sorted positions.
 //   2. Group sorted vertices into vertex groups of k × lanes vertices.
 //   3. Per group, allocate k aligned vector arrays sized by the group's max
-//      in-degree.
+//      in-degree. The arrays stay uninitialized: a reader only touches rows
+//      an insert wrote or pad_array() filled, so the first superstep that
+//      stores into a page is the one that faults it in.
 //
 // Per superstep:
 //   * columns are assigned to destinations either one-to-one (slot order,
@@ -121,7 +123,7 @@ class Csb {
   }
   /// Total message slots allocated — the paper's memory-footprint metric.
   [[nodiscard]] std::size_t storage_slots() const noexcept {
-    return storage_.size();
+    return storage_slots_;
   }
 
   // ---- superstep lifecycle ---------------------------------------------------
@@ -242,11 +244,11 @@ class Csb {
 
   /// Pointer to row 0 of array `a` of group g (lanes_ messages per row).
   [[nodiscard]] Msg* array_base(std::size_t g, int a) noexcept {
-    return storage_.data() + group_base_[g] +
+    return storage_.get() + group_base_[g] +
            static_cast<std::size_t>(a) * group_cap_rows_[g] * lanes_;
   }
   [[nodiscard]] const Msg* array_base(std::size_t g, int a) const noexcept {
-    return storage_.data() + group_base_[g] +
+    return storage_.get() + group_base_[g] +
            static_cast<std::size_t>(a) * group_cap_rows_[g] * lanes_;
   }
 
@@ -299,16 +301,24 @@ class Csb {
 
  private:
   void build(std::span<const vid_t> in_degrees) {
-    // 1. Sort vertex ids by in-degree descending, ties by id ascending.
+    // 1. Sort vertex ids by in-degree descending, ties by id ascending: a
+    //    counting sort whose placement pass visits ids in ascending order, so
+    //    each degree's bucket fills in id order. Its top + 2 counters (top =
+    //    the highest in-degree) take no more room than the top + 1 rows step
+    //    3 allocates for that vertex's group.
+    vid_t top = 0;
+    for (const vid_t d : in_degrees) top = std::max(top, d);
+    // next[top - d]: the next free sorted position of degree d.
+    std::vector<vid_t> next(static_cast<std::size_t>(top) + 2, 0);
+    for (const vid_t d : in_degrees) ++next[top - d + 1];
+    std::partial_sum(next.begin(), next.end(), next.begin());
     sorted_ids_.resize(num_vertices_);
-    std::iota(sorted_ids_.begin(), sorted_ids_.end(), vid_t{0});
-    std::stable_sort(sorted_ids_.begin(), sorted_ids_.end(),
-                     [&](vid_t a, vid_t b) {
-                       return in_degrees[a] > in_degrees[b];
-                     });
     redirection_.resize(num_vertices_);
-    for (vid_t pos = 0; pos < num_vertices_; ++pos)
-      redirection_[sorted_ids_[pos]] = pos;
+    for (vid_t v = 0; v < num_vertices_; ++v) {
+      const vid_t pos = next[top - in_degrees[v]]++;
+      sorted_ids_[pos] = v;
+      redirection_[v] = pos;
+    }
 
     // 2./3. Vertex groups and their vector arrays.
     const vid_t width = group_width();
@@ -329,7 +339,8 @@ class Csb {
       group_base_[g] = total;
       total += static_cast<std::size_t>(group_cap_rows_[g]) * width;
     }
-    storage_.resize(total);
+    storage_ = make_aligned_for_overwrite<Msg>(total);
+    storage_slots_ = total;
 
     const std::size_t ncols = groups * width;
     counts_.assign(ncols, 0);
@@ -472,7 +483,8 @@ class Csb {
   std::vector<vid_t> group_cap_rows_;   // rows allocated per group (max deg + 1)
   std::vector<std::size_t> group_base_; // group -> offset into storage_
 
-  aligned_vector<Msg> storage_;
+  aligned_array<Msg> storage_;  // uninitialized; see the file comment
+  std::size_t storage_slots_ = 0;
 
   // Per-column state (group-major, group_width() entries per group).
   std::vector<std::uint32_t> counts_;

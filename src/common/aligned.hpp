@@ -8,7 +8,9 @@
 
 #include <cstddef>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 namespace phigraph {
@@ -55,5 +57,26 @@ class AlignedAllocator {
 /// Vector whose data() is 64-byte aligned.
 template <typename T>
 using aligned_vector = std::vector<T, AlignedAllocator<T>>;
+
+struct AlignedFree {
+  void operator()(void* p) const noexcept { std::free(p); }
+};
+
+/// 64-byte-aligned array that owns its storage but never initializes it.
+template <typename T>
+using aligned_array = std::unique_ptr<T[], AlignedFree>;
+
+/// n uninitialized, 64-byte-aligned T, for buffers that write every cell
+/// before reading it: unlike aligned_vector(n), nothing touches the memory,
+/// so its pages are first faulted in by the writers. T must be trivially
+/// copyable and destructible; its objects then begin their lifetime with the
+/// allocation.
+template <typename T>
+[[nodiscard]] aligned_array<T> make_aligned_for_overwrite(std::size_t n) {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "uninitialized storage needs a trivially copyable type");
+  return aligned_array<T>(AlignedAllocator<T>{}.allocate(n));
+}
 
 }  // namespace phigraph

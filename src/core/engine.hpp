@@ -14,13 +14,15 @@
 //   6. terminate — exchange next-active counts; stop when globally idle
 //
 // Pullable programs may run generate bottom-up instead: each vertex gathers
-// from its in-neighbors over a transposed CSR (built in parallel at
-// construction) and nothing enters the CSB. On a single device traversals
-// choose per superstep; all-active programs (PageRank) pull every superstep
-// at any rank count. A rank with peers holds the in-edges of the vertices it
-// owns, with global sources, and swaps its boundary shares with the other
-// ranks before each gather. An engine that can never push allocates no CSB
-// (and, with peers, no remote buffer) at all.
+// from its in-neighbors over a transposed CSR and nothing enters the CSB. A
+// single device reads the graph's own transpose, built in parallel by the
+// first engine over that graph and shared by every later one. On a single
+// device traversals choose per superstep; all-active programs (PageRank)
+// pull every superstep at any rank count. A rank with peers holds the
+// in-edges of the vertices it owns, with global sources, and swaps its
+// boundary shares with the other ranks before each gather. An engine that
+// can never push allocates no CSB (and, with peers, no remote buffer) at
+// all.
 //
 // The same code runs as the paper's "CPU" and "MIC" instances — only the
 // EngineConfig (thread layout, SIMD profile, execution scheme) differs —
@@ -45,6 +47,7 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -63,7 +66,7 @@
 #include "src/core/graph_view.hpp"
 #include "src/core/local_graph.hpp"
 #include "src/core/program_traits.hpp"
-#include "src/core/transpose.hpp"
+#include "src/graph/transpose.hpp"
 #include "src/fault/checkpoint.hpp"
 #include "src/fault/fault.hpp"
 #include "src/fault/fault_injection.hpp"
@@ -146,17 +149,15 @@ class DeviceEngine {
                        peer_->graph->num_vertices() == lg_.global_num_vertices,
                    "PeerLink needs the graph the partition was split from");
     }
+    // Single-device engines address vertices by global id directly (see
+    // local_id()), which is only sound on the whole graph; ranks with peers
+    // look ids up in their split's maps.
+    PG_CHECK_MSG(lg_.is_whole() == !peer_,
+                 peer_ ? "a rank with peers needs a split part "
+                         "(LocalGraph::split_n)"
+                       : "a single-device engine needs the whole graph "
+                         "(LocalGraph::whole)");
     const vid_t n = lg_.num_local_vertices();
-    if (!peer_) {
-      // Single-device engines address vertices by global id directly (see
-      // local_id()), which is only sound on the whole graph.
-      const auto& lo = *lg_.local_of;
-      bool identity = lg_.global_num_vertices == n && lo.size() == n;
-      for (vid_t v = 0; identity && v < n; ++v) identity = lo[v] == v;
-      PG_CHECK_MSG(identity,
-                   "a single-device engine needs the whole graph "
-                   "(LocalGraph::whole)");
-    }
     values_.resize(n);
     active_.assign(n, 0);
     next_active_.assign(n, 0);
@@ -180,7 +181,7 @@ class DeviceEngine {
       bc.lanes = lanes_;
       bc.k = cfg_.csb_k;
       bc.mode = cfg_.column_mode;
-      csb_.emplace(std::span<const vid_t>(lg_.in_degree), bc);
+      csb_.emplace(lg_.in_degree(), bc);
     }
     if (peer_ && !pulls_only)
       remote_.emplace(lg_.global_num_vertices, cfg_.remote_shards, nranks_);
@@ -200,7 +201,7 @@ class DeviceEngine {
       if (peer_)
         build_owned_in_edges();
       else
-        in_edges_ = parallel_transpose(lg_.local, lg_.in_degree, *team_);
+        in_edges_ = lg_.local().transpose(*team_);
       // The build ran on this thread; run() may be driven from another.
       team_->rebind_orchestrator();
       if constexpr (!Program::kAllActive)
@@ -223,6 +224,11 @@ class DeviceEngine {
   /// The message buffer, or nullptr on an engine that never pushes.
   [[nodiscard]] const buffer::Csb<Msg>* csb() const noexcept {
     return csb_ ? &*csb_ : nullptr;
+  }
+  /// The in-edges the pull kernel reads, or nullptr on an engine that never
+  /// pulls.
+  [[nodiscard]] const graph::Transpose* in_edges() const noexcept {
+    return in_edges_.get();
   }
 
   /// This device's MPI-style rank (0 when running single-device).
@@ -705,19 +711,22 @@ class DeviceEngine {
   /// Pull state of a rank with peers: the in-edges of its owned vertices,
   /// transposed from the whole graph with global sources, and for every
   /// peer the owned vertices (global ids, ascending) with an out-neighbor
-  /// there — the shares that peer's gathers read.
+  /// there — the shares that peer's gathers read. The rank keeps its own
+  /// contiguous rows rather than indexing the graph's shared transpose by
+  /// global id, which scatters every gather over the whole graph's rows.
   void build_owned_in_edges() {
     const vid_t n = lg_.num_local_vertices();
     {
       std::vector<vid_t> row_of(lg_.global_num_vertices, kInvalidVertex);
       for (vid_t u = 0; u < n; ++u) row_of[lg_.global_id[u]] = u;
-      in_edges_ = parallel_transpose(*peer_->graph, lg_.in_degree, *team_,
-                                     row_of);
+      in_edges_ = std::make_shared<const graph::Transpose>(
+          graph::parallel_transpose(*peer_->graph, lg_.in_degree(), *team_,
+                                    row_of));
     }
     boundary_.resize(static_cast<std::size_t>(nranks_));
     std::vector<vid_t> last(static_cast<std::size_t>(nranks_), kInvalidVertex);
     for (vid_t u = 0; u < n; ++u)
-      for (const vid_t t : lg_.local.out_neighbors(u)) {
+      for (const vid_t t : lg_.local().out_neighbors(u)) {
         const auto r = static_cast<std::size_t>(owner_rank_of(t));
         if (static_cast<int>(r) == rank() || last[r] == u) continue;
         last[r] = u;
@@ -756,26 +765,29 @@ class DeviceEngine {
     ++ts.c.msgs_remote;
   }
 
-  GraphView<Value> view(int superstep) noexcept {
+  GraphView<Value> view(int superstep) {
     GraphView<Value> v;
-    v.vertices = lg_.local.offsets();
-    v.edges = lg_.local.targets();
-    v.edge_value = lg_.local.edge_values();
+    const graph::Csr& csr = lg_.local();
+    v.vertices = csr.offsets();
+    v.edges = csr.targets();
+    v.edge_value = csr.edge_values();
     v.vertex_value = values_;
-    v.in_degree = lg_.in_degree;
-    v.global_id = lg_.global_id;
+    v.in_degree = lg_.in_degree();
+    v.global_id.map = peer_ ? lg_.global_id.data() : nullptr;
     v.superstep = superstep;
     return v;
   }
 
   void init_vertices() {
-    const bool weighted = lg_.local.has_edge_values();
-    for (vid_t u = 0; u < lg_.num_local_vertices(); ++u) {
-      InitInfo info{lg_.in_degree[u], lg_.local.out_degree(u), 0.f};
+    const graph::Csr& csr = lg_.local();
+    const std::span<const vid_t> in_degree = lg_.in_degree();
+    const bool weighted = csr.has_edge_values();
+    for (vid_t u = 0; u < csr.num_vertices(); ++u) {
+      InitInfo info{in_degree[u], csr.out_degree(u), 0.f};
       if (weighted)
-        for (float w : lg_.local.out_edge_values(u)) info.out_weight += w;
+        for (float w : csr.out_edge_values(u)) info.out_weight += w;
       bool act = false;
-      prog_.init_vertex(lg_.global_id[u], values_[u], act, info);
+      prog_.init_vertex(global_of(u), values_[u], act, info);
       active_[u] = act ? 1 : 0;
       if constexpr (!Program::kAllActive)
         if (act) frontier_.push_back(u);
@@ -852,10 +864,10 @@ class DeviceEngine {
         cfg_.direction_mode == DirectionMode::kForcePull)
       return Direction::kPull;
     if constexpr (is_pullable<Program>() && !Program::kAllActive) {
+      const graph::Csr& csr = lg_.local();
       std::uint64_t frontier_edges = 0;
-      for (const vid_t u : frontier_)
-        frontier_edges += lg_.local.out_degree(u);
-      const std::uint64_t m = lg_.local.num_edges();
+      for (const vid_t u : frontier_) frontier_edges += csr.out_degree(u);
+      const std::uint64_t m = csr.num_edges();
       const std::uint64_t cap =
           std::min(m, explored_edges_est_ + frontier_edges);
       const Direction d = dir_policy_.decide(
@@ -911,6 +923,7 @@ class DeviceEngine {
     sched_.reset(sparse ? frontier_.size() : static_cast<std::size_t>(n),
                  cfg_.sched_chunk);
     auto v = view(superstep);
+    const graph::Csr& csr = lg_.local();
 
     auto worker_body = [&](int tid, auto&& sink) {
       auto& ts = tstats_[static_cast<std::size_t>(tid)];
@@ -924,7 +937,7 @@ class DeviceEngine {
             if (!Program::kAllActive && !active_[u]) continue;
           }
           ++ts.c.active_vertices;
-          ts.c.edges_scanned += lg_.local.out_degree(u);
+          ts.c.edges_scanned += csr.out_degree(u);
           PG_AUDIT_PHASE_EXPECT(bsp_phase_, kGenerate, "generate_messages()");
           PG_FAULT_POINT(kEngineGenerate, rank(), superstep);
           prog_.generate_messages(u, v, sink);
@@ -1013,13 +1026,14 @@ class DeviceEngine {
                      static_cast<unsigned>(n));
       }
       if constexpr (HasPullSource<Program>) {
+        const graph::Csr& csr = lg_.local();
         sched_.reset(static_cast<std::size_t>(n), cfg_.sched_chunk);
         team_->run([&](int) {
           while (auto r = sched_.next_chunk())
             for (std::size_t i = r->begin; i < r->end; ++i) {
               const vid_t u = static_cast<vid_t>(i);
               pull_src_[global_of(u)] =
-                  prog_.pull_source(values_[u], lg_.local.out_degree(u));
+                  prog_.pull_source(values_[u], csr.out_degree(u));
             }
         });
         tstats_[0].c.sched_retrievals += sched_.retrievals();
@@ -1526,16 +1540,17 @@ class DeviceEngine {
   bool superstep_sparse_ = false;
 
   // Direction-optimizing pull state (engaged only when pull_ready_): the
-  // in-edges of the owned vertices (sources as global ids), the word-packed
-  // frontier bitmap rebuilt from active_ each pull superstep (not for
-  // all-active programs), the pull_source operands indexed by global id
-  // (programs that declare one; a rank with peers fills the remote entries
-  // its gathers read from the share swap, whose per-peer send lists are
-  // boundary_). The pull kernel writes its results, owner-thread-only, into
-  // the accumulator slots below. The policy/estimate pair drives the kAuto
-  // decision.
+  // in-edges of the owned vertices (sources as global ids; the graph's
+  // shared transpose on a single device, the rank's own rows with peers),
+  // the word-packed frontier bitmap rebuilt from active_ each pull superstep
+  // (not for all-active programs), the pull_source operands indexed by
+  // global id (programs that declare one; a rank with peers fills the remote
+  // entries its gathers read from the share swap, whose per-peer send lists
+  // are boundary_). The pull kernel writes its results, owner-thread-only,
+  // into the accumulator slots below. The policy/estimate pair drives the
+  // kAuto decision.
   bool pull_ready_ = false;
-  std::optional<Transpose> in_edges_;
+  std::shared_ptr<const graph::Transpose> in_edges_;
   simd::DenseBitset pull_frontier_;
   std::vector<Value> pull_src_;
   std::vector<std::vector<vid_t>> boundary_;

@@ -12,6 +12,15 @@
 
 namespace phigraph::core {
 
+/// Local id -> global id: a rank's map, or none on the whole graph, where
+/// every local id is its own global id.
+struct GlobalIds {
+  const vid_t* map = nullptr;
+  [[nodiscard]] vid_t operator[](vid_t u) const noexcept {
+    return map ? map[u] : u;
+  }
+};
+
 template <typename VertexValue>
 struct GraphView {
   std::span<const eid_t> vertices;      // local CSR offsets (n_local + 1)
@@ -19,7 +28,7 @@ struct GraphView {
   std::span<const float> edge_value;    // optional per-edge values
   std::span<VertexValue> vertex_value;  // local vertex values (mutable)
   std::span<const vid_t> in_degree;     // in-degree in the FULL graph
-  std::span<const vid_t> global_id;     // local id -> global id
+  GlobalIds global_id;                  // local id -> global id
   int superstep = 0;                    // current BSP iteration (0-based)
 
   [[nodiscard]] vid_t num_local_vertices() const noexcept {

@@ -296,7 +296,7 @@ class ClusterEngine {
       const auto& lg = e->local_graph();
       const auto vals = e->values();
       for (vid_t u = 0; u < lg.num_local_vertices(); ++u)
-        out[lg.global_id[u]] = vals[u];
+        out[lg.global_of(u)] = vals[u];
     }
   }
 
@@ -376,28 +376,31 @@ class ClusterEngine {
     std::vector<std::uint8_t> act(vals.size());
     for (std::size_t r = 0; resume > 0 && r < from.size(); ++r) {
       const fault::CheckpointFrame& f = frames[r];
-      const std::vector<vid_t>& gid = from[r]->local_graph().global_id;
-      if (f.values.size() != gid.size() * sizeof(Value) ||
-          f.active.size() != gid.size()) {
+      const LocalGraph& lg = from[r]->local_graph();
+      const vid_t n = lg.num_local_vertices();
+      if (f.values.size() != std::size_t{n} * sizeof(Value) ||
+          f.active.size() != n) {
         resume = 0;
         break;
       }
-      for (std::size_t u = 0; u < gid.size(); ++u) {
-        std::memcpy(&vals[gid[u]], f.values.data() + u * sizeof(Value),
+      for (vid_t u = 0; u < n; ++u) {
+        const vid_t v = lg.global_of(u);
+        std::memcpy(&vals[v], f.values.data() + std::size_t{u} * sizeof(Value),
                     sizeof(Value));
-        act[gid[u]] = f.active[u];
+        act[v] = f.active[u];
       }
     }
 
     build(to, resume > 0 ? only : -1);
     if (resume == 0) return 0;
     for (const auto& e : to.engines) {
-      const std::vector<vid_t>& gid = e->local_graph().global_id;
-      std::vector<Value> lv(gid.size());
-      std::vector<std::uint8_t> la(gid.size());
-      for (std::size_t u = 0; u < gid.size(); ++u) {
-        lv[u] = vals[gid[u]];
-        la[u] = act[gid[u]];
+      const LocalGraph& lg = e->local_graph();
+      const vid_t n = lg.num_local_vertices();
+      std::vector<Value> lv(n);
+      std::vector<std::uint8_t> la(n);
+      for (vid_t u = 0; u < n; ++u) {
+        lv[u] = vals[lg.global_of(u)];
+        la[u] = act[lg.global_of(u)];
       }
       e->restore(lv, la, resume);
     }

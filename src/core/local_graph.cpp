@@ -9,13 +9,7 @@ namespace phigraph::core {
 LocalGraph LocalGraph::whole(const graph::Csr& g) {
   LocalGraph lg;
   lg.global_num_vertices = g.num_vertices();
-  lg.local = g;
-  lg.global_id.resize(g.num_vertices());
-  for (vid_t v = 0; v < g.num_vertices(); ++v) lg.global_id[v] = v;
-  lg.in_degree = g.in_degrees();
-  lg.owner_rank = std::make_shared<const std::vector<int>>(
-      g.num_vertices(), lg.rank);
-  lg.local_of = std::make_shared<const std::vector<vid_t>>(lg.global_id);
+  lg.whole_ = &g;
   return lg;
 }
 
@@ -36,7 +30,7 @@ std::vector<LocalGraph> LocalGraph::split_n(const graph::Csr& g,
     m.push_back(v);
   }
 
-  const auto global_in = g.in_degrees();
+  const auto& global_in = g.in_degrees();
   auto shared_owner =
       std::make_shared<const std::vector<int>>(std::move(owner_rank));
   auto shared_local_of =
@@ -62,10 +56,10 @@ std::vector<LocalGraph> LocalGraph::split_n(const graph::Csr& g,
     std::vector<float> values;
     if (g.has_edge_values()) values.reserve(m_local);
 
-    lg.in_degree.resize(n_local);
+    lg.part_in_degree_.resize(n_local);
     for (vid_t u = 0; u < n_local; ++u) {
       const vid_t gu = mem[u];
-      lg.in_degree[u] = global_in[gu];
+      lg.part_in_degree_[u] = global_in[gu];
       const auto nbrs = g.out_neighbors(gu);
       targets.insert(targets.end(), nbrs.begin(), nbrs.end());
       if (g.has_edge_values()) {
@@ -74,7 +68,7 @@ std::vector<LocalGraph> LocalGraph::split_n(const graph::Csr& g,
       }
       offsets[u + 1] = targets.size();
     }
-    lg.local = graph::Csr(std::move(offsets), std::move(targets),
+    lg.part_ = graph::Csr(std::move(offsets), std::move(targets),
                           std::move(values), /*target_space=*/n);
   }
   return out;

@@ -3,15 +3,61 @@
 #include <algorithm>
 #include <numeric>
 
+#include "src/common/sync.hpp"
+#include "src/graph/transpose.hpp"
+
 namespace phigraph::graph {
+
+/// Built at most once per Derived: in_degrees under `mu` before `counted` is
+/// released, the transpose under `mu`. Readers that acquire `counted` skip
+/// the lock, so a running engine's in_degrees() never waits behind another
+/// engine's transpose build. Neither changes afterwards; set_edge_values()
+/// swaps in a fresh Derived instead.
+struct Csr::Derived {
+  sync::Mutex mu;
+  sync::Atomic<bool> counted{false};
+  std::vector<vid_t> in_degrees;
+  std::shared_ptr<const Transpose> transpose PG_GUARDED_BY(mu);
+};
+
+std::shared_ptr<Csr::Derived> Csr::empty_derived() noexcept {
+  static const std::shared_ptr<Derived> empty = std::make_shared<Derived>();
+  return empty;
+}
 
 Csr::Csr(std::vector<eid_t> offsets, std::vector<vid_t> targets,
          std::vector<float> edge_values, vid_t target_space)
     : offsets_(std::move(offsets)),
       targets_(std::move(targets)),
       edge_values_(std::move(edge_values)),
-      target_space_(target_space) {
+      target_space_(target_space),
+      derived_(std::make_shared<Derived>()) {
   validate();
+}
+
+Csr::Csr(Csr&& o) noexcept
+    : offsets_(std::move(o.offsets_)),
+      targets_(std::move(o.targets_)),
+      edge_values_(std::move(o.edge_values_)),
+      target_space_(std::exchange(o.target_space_, 0)),
+      derived_(std::exchange(o.derived_, empty_derived())) {}
+
+Csr& Csr::operator=(Csr&& o) noexcept {
+  if (this == &o) return *this;
+  offsets_ = std::move(o.offsets_);
+  targets_ = std::move(o.targets_);
+  edge_values_ = std::move(o.edge_values_);
+  o.offsets_.clear();
+  o.targets_.clear();
+  o.edge_values_.clear();
+  target_space_ = std::exchange(o.target_space_, 0);
+  derived_ = std::exchange(o.derived_, empty_derived());
+  return *this;
+}
+
+bool Csr::operator==(const Csr& o) const noexcept {
+  return offsets_ == o.offsets_ && targets_ == o.targets_ &&
+         edge_values_ == o.edge_values_ && target_space_ == o.target_space_;
 }
 
 Csr Csr::from_edges(vid_t num_vertices,
@@ -50,14 +96,32 @@ void Csr::set_edge_values(std::vector<float> values) {
   PG_CHECK_MSG(values.size() == targets_.size(),
                "edge value count must equal edge count");
   edge_values_ = std::move(values);
+  derived_ = std::make_shared<Derived>();
 }
 
-std::vector<vid_t> Csr::in_degrees() const {
+const std::vector<vid_t>& Csr::in_degrees() const {
   PG_CHECK_MSG(target_space_ == 0,
                "in_degrees() requires targets in the local vertex space");
-  std::vector<vid_t> deg(num_vertices(), 0);
-  for (vid_t t : targets_) ++deg[t];
-  return deg;
+  Derived& d = *derived_;
+  if (!d.counted.load(sync::acquire)) {
+    sync::LockGuard lock(d.mu);
+    if (!d.counted.load(sync::relaxed)) {
+      d.in_degrees.assign(num_vertices(), 0);
+      for (vid_t t : targets_) ++d.in_degrees[t];
+      d.counted.store(true, sync::release);
+    }
+  }
+  return d.in_degrees;
+}
+
+std::shared_ptr<const Transpose> Csr::transpose(sched::ThreadTeam& team) const {
+  const std::vector<vid_t>& in = in_degrees();
+  Derived& d = *derived_;
+  sync::LockGuard lock(d.mu);
+  if (!d.transpose)
+    d.transpose =
+        std::make_shared<const Transpose>(parallel_transpose(*this, in, team));
+  return d.transpose;
 }
 
 Csr Csr::reversed() const {
@@ -101,7 +165,7 @@ DegreeStats degree_stats(const Csr& g) {
   const vid_t n = g.num_vertices();
   if (n == 0) return s;
   s.min_out = g.out_degree(0);
-  auto in = g.in_degrees();
+  const auto& in = g.in_degrees();
   for (vid_t u = 0; u < n; ++u) {
     const eid_t d = g.out_degree(u);
     s.min_out = std::min(s.min_out, d);

@@ -4,8 +4,13 @@
 // last one the "dummy vertex, offset = num_edges"); targets_ lists out-edge
 // destinations. Optional per-edge float values (SSSP weights, SC interaction
 // frequencies) ride alongside in edge_values_.
+//
+// What depends only on these arrays — the in-degrees and the whole-graph
+// transpose the pull path reads — is built on first use and kept with the
+// graph, so every engine over one graph shares one copy (DESIGN.md §5c).
 #pragma once
 
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -13,7 +18,13 @@
 #include "src/common/expect.hpp"
 #include "src/common/types.hpp"
 
+namespace phigraph::sched {
+class ThreadTeam;
+}
+
 namespace phigraph::graph {
+
+class Transpose;
 
 class Csr {
  public:
@@ -24,6 +35,13 @@ class Csr {
   /// GLOBAL vertex count because its edge targets stay global ids.
   Csr(std::vector<eid_t> offsets, std::vector<vid_t> targets,
       std::vector<float> edge_values = {}, vid_t target_space = 0);
+
+  /// A copy shares the source's in-degrees and transpose. A moved-from graph
+  /// is empty and fully usable.
+  Csr(const Csr&) = default;
+  Csr& operator=(const Csr&) = default;
+  Csr(Csr&& o) noexcept;
+  Csr& operator=(Csr&& o) noexcept;
 
   /// Build from an (unsorted) edge list; edges are counting-sorted by source.
   /// Parallel edges and self-loops are kept unless dedup is requested.
@@ -70,10 +88,20 @@ class Csr {
     return edge_values_;
   }
 
+  /// Replaces the edge values and drops the in-degrees and transpose built
+  /// so far; the next caller rebuilds them.
   void set_edge_values(std::vector<float> values);
 
-  /// In-degree of every vertex (one counting pass over targets_).
-  [[nodiscard]] std::vector<vid_t> in_degrees() const;
+  /// In-degree of every vertex: one counting pass over targets_ on the first
+  /// call, shared by every later call and by copies.
+  [[nodiscard]] const std::vector<vid_t>& in_degrees() const;
+
+  /// The whole-graph transpose, exactly the arrays of reversed(): built in
+  /// parallel on `team` by the first caller, then shared read-only by every
+  /// later caller and by copies. Callers on several threads at once get one
+  /// build. The graph keeps it until set_edge_values() or its destruction.
+  [[nodiscard]] std::shared_ptr<const Transpose> transpose(
+      sched::ThreadTeam& team) const;
 
   /// Transposed graph; edge values (if any) follow their edge.
   [[nodiscard]] Csr reversed() const;
@@ -82,13 +110,20 @@ class Csr {
   /// edge-value length. Aborts via PG_CHECK on violation.
   void validate() const;
 
-  [[nodiscard]] bool operator==(const Csr& o) const noexcept = default;
+  /// Compares the arrays (what is built from them follows).
+  [[nodiscard]] bool operator==(const Csr& o) const noexcept;
 
  private:
+  struct Derived;  // in-degrees + transpose, built once under a mutex
+  /// The Derived of the empty graph: default-constructed and moved-from
+  /// graphs share it, so a move needs no allocation.
+  static std::shared_ptr<Derived> empty_derived() noexcept;
+
   std::vector<eid_t> offsets_;
   std::vector<vid_t> targets_;
   std::vector<float> edge_values_;
   vid_t target_space_ = 0;  // 0 = targets are local vertices
+  std::shared_ptr<Derived> derived_ = empty_derived();
 };
 
 /// Summary statistics used by generators' tests and the partitioner.

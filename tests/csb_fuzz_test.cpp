@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "src/buffer/csb.hpp"
@@ -50,6 +51,16 @@ std::vector<vid_t> random_degrees(Rng& rng, vid_t n) {
     }
   }
   return deg;
+}
+
+// The order the CSB must lay vertices out in: in-degree descending, ties by
+// ascending id — a stable sort of the ids in ascending order.
+std::vector<vid_t> stable_degree_order(const std::vector<vid_t>& deg) {
+  std::vector<vid_t> ids(deg.size());
+  std::iota(ids.begin(), ids.end(), vid_t{0});
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&](vid_t a, vid_t b) { return deg[a] > deg[b]; });
+  return ids;
 }
 
 // Message value encoding a unique sequence number: multiset comparison then
@@ -106,6 +117,10 @@ TEST(CsbFuzz, RandomInsertsMatchDenseMirrorAcrossResetCycles) {
     // condensation order), so group capacities shrink monotonically.
     for (vid_t p = 1; p < n; ++p)
       ASSERT_GE(deg[csb.sorted_vertex(p - 1)], deg[csb.sorted_vertex(p)]);
+    // Exactly the stable sort's order: equal degrees keep ascending ids.
+    const auto order = stable_degree_order(deg);
+    for (vid_t p = 0; p < n; ++p)
+      ASSERT_EQ(csb.sorted_vertex(p), order[p]) << "position " << p;
 
     std::int64_t seq = 0;
     const int cycles = 1 + static_cast<int>(rng.below(4));
@@ -164,6 +179,30 @@ TEST(CsbFuzz, RandomInsertsMatchDenseMirrorAcrossResetCycles) {
     csb.reset_all();
     ASSERT_EQ(csb.num_dirty_groups(), 0u);
     expect_equal(drain(csb), Mirror(n), "post-reset drain");
+  }
+}
+
+// The sorted order is the stable sort's, position for position, also when
+// one hub's in-degree is far above every other vertex's and when the array is
+// all zeros: the layout, and so every fold order, depends on it.
+TEST(CsbFuzz, SortedOrderEqualsStableSortWithAHub) {
+  Rng rng(0x50f7);
+  for (int layout = 0; layout < kLayouts; ++layout) {
+    const vid_t n = 1 + static_cast<vid_t>(rng.below(600));
+    auto deg = layout % 5 == 4 ? std::vector<vid_t>(n, 0)
+                               : random_degrees(rng, n);
+    if (layout % 5 != 4 && layout % 2 == 1)
+      deg[rng.below(n)] = 5000 + static_cast<vid_t>(rng.below(5000));
+    Csb<std::int64_t>::Config cfg;
+    cfg.lanes = 1 << rng.below(5);
+    cfg.k = 1 + static_cast<int>(rng.below(3));
+    Csb<std::int64_t> csb(deg, cfg);
+    const auto order = stable_degree_order(deg);
+    for (vid_t p = 0; p < n; ++p) {
+      ASSERT_EQ(csb.sorted_vertex(p), order[p])
+          << "layout " << layout << " position " << p;
+      ASSERT_EQ(csb.redirection(order[p]), p) << "layout " << layout;
+    }
   }
 }
 

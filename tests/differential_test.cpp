@@ -23,8 +23,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -35,9 +37,9 @@
 #include "src/apps/sssp.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/hetero_engine.hpp"
-#include "src/core/transpose.hpp"
 #include "src/gen/generators.hpp"
 #include "src/graph/csr.hpp"
+#include "src/graph/transpose.hpp"
 #include "src/partition/partition.hpp"
 #include "src/partition/stream_partition.hpp"
 #include "watchdog.hpp"
@@ -347,21 +349,16 @@ TEST(DifferentialBattery, PageRankPullBitExactAnyThreadsAndMode) {
   }
 }
 
-// The engine's parallel transpose must be Csr::reversed() byte for byte —
-// offsets, in-neighbor order and edge values — on every battery family,
-// weighted and unweighted, at 1–4 threads. The family sizes are random, so
-// most rounds also leave |V| indivisible by the thread count; the extra
-// fixed sizes make sure of it, and cover more threads than vertices. A
-// rank's slice (the rows of the vertices one rank of a 3-way round-robin
-// split owns) must hold reversed()'s rows of those vertices, byte for byte.
-TEST(DifferentialTranspose, ParallelTransposeMatchesReversedBytes) {
-  phigraph::testing::Watchdog wd(
-      std::chrono::seconds(PG_TEST_SANITIZED ? 900 : 300));
-  auto bytes_equal = [](auto a, const auto& b) {
-    return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
-  };
+template <typename A, typename B>
+bool bytes_equal(const A& a, const B& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+}
+
+// Every battery family, weighted and unweighted, plus fixed sizes that leave
+// |V| indivisible by the thread count or below it.
+std::vector<std::pair<std::string, graph::Csr>> transpose_graphs() {
   std::vector<std::pair<std::string, graph::Csr>> graphs;
   for (int round = 0; round < kRounds; ++round) {
     const Family fam = kFamilies[round % std::size(kFamilies)];
@@ -378,14 +375,28 @@ TEST(DifferentialTranspose, ParallelTransposeMatchesReversedBytes) {
     gen::add_random_weights(g, n);
     graphs.emplace_back("er n=" + std::to_string(n), std::move(g));
   }
-  for (const auto& [name, g] : graphs) {
+  return graphs;
+}
+
+// The engine's parallel transpose must be Csr::reversed() byte for byte —
+// offsets, in-neighbor order and edge values — on every battery family,
+// weighted and unweighted, at 1–4 threads. The family sizes are random, so
+// most rounds also leave |V| indivisible by the thread count; the extra
+// fixed sizes make sure of it, and cover more threads than vertices. A
+// rank's slice (the rows of the vertices one rank of a 3-way round-robin
+// split owns) must hold reversed()'s rows of those vertices, byte for byte.
+TEST(DifferentialTranspose, ParallelTransposeMatchesReversedBytes) {
+  phigraph::testing::Watchdog wd(
+      std::chrono::seconds(PG_TEST_SANITIZED ? 900 : 300));
+  for (const auto& [name, g] : transpose_graphs()) {
     const graph::Csr want = g.reversed();
     const auto in_degree = g.in_degrees();
     const auto parts = core::LocalGraph::split_n(
         g, partition::round_robin_partition_k(g, {1, 1, 1}), 3);
     for (int threads = 1; threads <= 4; ++threads) {
       sched::ThreadTeam team(threads);
-      const core::Transpose got = core::parallel_transpose(g, in_degree, team);
+      const graph::Transpose got =
+          graph::parallel_transpose(g, in_degree, team);
       const std::string what = name + " threads=" + std::to_string(threads);
       EXPECT_EQ(got.num_vertices(), want.num_vertices()) << what;
       EXPECT_EQ(got.num_edges(), want.num_edges()) << what;
@@ -398,8 +409,8 @@ TEST(DifferentialTranspose, ParallelTransposeMatchesReversedBytes) {
         std::vector<vid_t> row_of(g.num_vertices(), kInvalidVertex);
         for (vid_t u = 0; u < lg.num_local_vertices(); ++u)
           row_of[lg.global_id[u]] = u;
-        const core::Transpose slice =
-            core::parallel_transpose(g, lg.in_degree, team, row_of);
+        const graph::Transpose slice =
+            graph::parallel_transpose(g, lg.in_degree(), team, row_of);
         const std::string swhat = what + " rank " + std::to_string(lg.rank);
         ASSERT_EQ(slice.num_vertices(), lg.num_local_vertices()) << swhat;
         ASSERT_EQ(slice.has_edge_values(), want.has_edge_values()) << swhat;
@@ -422,6 +433,104 @@ TEST(DifferentialTranspose, ParallelTransposeMatchesReversedBytes) {
         }
       }
     }
+  }
+}
+
+// A graph transposes itself once, on the team of the first engine that pulls
+// over it, and every later engine reads that same object. On every battery
+// family, weighted and unweighted, with the first engine at 1–4 threads, the
+// cached transpose must be reversed() byte for byte.
+TEST(DifferentialTranspose, GraphTransposesOnceForEveryEngine) {
+  phigraph::testing::Watchdog wd(
+      std::chrono::seconds(PG_TEST_SANITIZED ? 900 : 300));
+  for (const auto& [name, g] : transpose_graphs()) {
+    const graph::Csr want = g.reversed();
+    for (int threads = 1; threads <= 4; ++threads) {
+      // A fresh graph per thread count, so this engine's team builds it.
+      const graph::Csr fresh(g.offsets(), g.targets(), g.edge_values());
+      EngineConfig cfg;
+      cfg.threads = threads;
+      core::DeviceEngine<apps::Bfs> first(core::LocalGraph::whole(fresh),
+                                          apps::Bfs(0), cfg);
+      cfg.threads = 1;
+      core::DeviceEngine<apps::Bfs> second(core::LocalGraph::whole(fresh),
+                                           apps::Bfs(0), cfg);
+      const std::string what = name + " threads=" + std::to_string(threads);
+      const graph::Transpose* got = first.in_edges();
+      ASSERT_NE(got, nullptr) << what;
+      EXPECT_EQ(second.in_edges(), got) << what;
+      sched::ThreadTeam team(1);
+      EXPECT_EQ(fresh.transpose(team).get(), got) << what;
+      EXPECT_EQ(got->num_vertices(), want.num_vertices()) << what;
+      EXPECT_EQ(got->num_edges(), want.num_edges()) << what;
+      EXPECT_EQ(got->has_edge_values(), want.has_edge_values()) << what;
+      EXPECT_TRUE(bytes_equal(got->offsets(), want.offsets())) << what;
+      EXPECT_TRUE(bytes_equal(got->sources(), want.targets())) << what;
+      EXPECT_TRUE(bytes_equal(got->edge_values(), want.edge_values())) << what;
+    }
+  }
+}
+
+// New edge values must reach the next engine's pull: set_edge_values() drops
+// the cached transpose, whose edge values are the old ones. Every superstep
+// pulls, so a stale transpose would give the old weights' distances.
+TEST(DifferentialTranspose, NewEdgeValuesReachTheNextEngine) {
+  auto g = gen::pokec_like(2000, 20000, 0x5e7);
+  gen::add_random_weights(g, 1);
+  EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.direction_mode = core::DirectionMode::kForcePull;
+  auto run = [&] {
+    core::DeviceEngine<apps::Sssp> e(core::LocalGraph::whole(g), apps::Sssp(0),
+                                     cfg);
+    EXPECT_FALSE(e.run().failed);
+    return std::vector<float>(e.values().begin(), e.values().end());
+  };
+  const auto before = run();
+  EXPECT_EQ(before, apps::classic_dijkstra(g, 0));
+
+  gen::add_random_weights(g, 2);
+  const auto want = apps::classic_dijkstra(g, 0);
+  ASSERT_NE(before, want)
+      << "the two weightings give the same distances; the test shows nothing";
+  EXPECT_EQ(run(), want);
+}
+
+// Engines built over one fresh graph from four threads at once share one
+// transpose build, and each one's BFS equals the classical one. The graph is
+// large enough that the builds overlap: with the graph's lock taken out, 20
+// of 20 runs of this test saw engines build their own transposes.
+TEST(DifferentialTranspose, ConcurrentEnginesShareOneBuild) {
+  const auto g = gen::pokec_like(20000, 400000, 0xc0c);
+  constexpr int kThreads = 4;
+  std::vector<const graph::Transpose*> used(kThreads, nullptr);
+  std::vector<std::vector<std::int32_t>> got(kThreads);
+  // Bytes, not vector<bool>: its bits share words across threads.
+  std::vector<std::uint8_t> failed(kThreads, 1);
+  std::latch start(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        EngineConfig cfg;
+        cfg.threads = 2;
+        start.arrive_and_wait();
+        core::DeviceEngine<apps::Bfs> e(core::LocalGraph::whole(g),
+                                        apps::Bfs(static_cast<vid_t>(t)), cfg);
+        used[static_cast<std::size_t>(t)] = e.in_edges();
+        failed[static_cast<std::size_t>(t)] = e.run().failed ? 1 : 0;
+        got[static_cast<std::size_t>(t)].assign(e.values().begin(),
+                                                 e.values().end());
+      });
+  }
+  sched::ThreadTeam team(1);
+  const graph::Transpose* built = g.transpose(team).get();
+  for (int t = 0; t < kThreads; ++t) {
+    const auto i = static_cast<std::size_t>(t);
+    EXPECT_EQ(used[i], built) << "engine " << t << " built its own transpose";
+    EXPECT_EQ(failed[i], 0) << "engine " << t;
+    EXPECT_EQ(got[i], apps::classic_bfs(g, static_cast<vid_t>(t)))
+        << "engine " << t;
   }
 }
 

@@ -1,5 +1,6 @@
-// Rank-partition tests: LocalGraph::split_n must conserve every edge and
-// expose correct ownership maps.
+// Rank-partition tests: LocalGraph::whole must borrow the graph, and
+// LocalGraph::split_n must conserve every edge and expose correct ownership
+// maps.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -13,18 +14,22 @@ namespace {
 using namespace phigraph;
 using core::LocalGraph;
 
+// whole(g) borrows g: its CSR is g itself, its in-degrees are g's own
+// cached array, and it builds no id maps (every local id is its global id).
 TEST(LocalGraph, WholeKeepsEverything) {
   const auto g = gen::pokec_like(500, 5000, 3);
   const auto lg = LocalGraph::whole(g);
   EXPECT_EQ(lg.rank, 0);
   EXPECT_EQ(lg.nranks, 1);
+  EXPECT_TRUE(lg.is_whole());
+  EXPECT_EQ(&lg.local(), &g);
   EXPECT_EQ(lg.num_local_vertices(), g.num_vertices());
-  EXPECT_EQ(lg.local.num_edges(), g.num_edges());
-  EXPECT_EQ(lg.in_degree, g.in_degrees());
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(lg.global_id[v], v);
-    EXPECT_EQ((*lg.local_of)[v], v);
-  }
+  EXPECT_EQ(lg.in_degree().data(), g.in_degrees().data());
+  EXPECT_EQ(lg.in_degree().size(), std::size_t{g.num_vertices()});
+  EXPECT_TRUE(lg.global_id.empty());
+  EXPECT_EQ(lg.owner_rank, nullptr);
+  EXPECT_EQ(lg.local_of, nullptr);
+  for (vid_t v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(lg.global_of(v), v);
 }
 
 TEST(LocalGraph, SplitConservesEdgesAndValues) {
@@ -38,7 +43,7 @@ TEST(LocalGraph, SplitConservesEdgesAndValues) {
   EXPECT_EQ(parts[1].rank, 1);
   EXPECT_EQ(parts[0].num_local_vertices() + parts[1].num_local_vertices(),
             g.num_vertices());
-  EXPECT_EQ(parts[0].local.num_edges() + parts[1].local.num_edges(),
+  EXPECT_EQ(parts[0].local().num_edges() + parts[1].local().num_edges(),
             g.num_edges());
 
   // Every local vertex's out-edges match the global graph exactly,
@@ -46,15 +51,15 @@ TEST(LocalGraph, SplitConservesEdgesAndValues) {
   for (const auto& lg : parts) {
     for (vid_t u = 0; u < lg.num_local_vertices(); ++u) {
       const vid_t gu = lg.global_id[u];
-      const auto local_nbrs = lg.local.out_neighbors(u);
+      const auto local_nbrs = lg.local().out_neighbors(u);
       const auto global_nbrs = g.out_neighbors(gu);
       ASSERT_EQ(local_nbrs.size(), global_nbrs.size());
       for (std::size_t i = 0; i < local_nbrs.size(); ++i) {
         EXPECT_EQ(local_nbrs[i], global_nbrs[i]);
-        EXPECT_EQ(lg.local.out_edge_values(u)[i], g.out_edge_values(gu)[i]);
+        EXPECT_EQ(lg.local().out_edge_values(u)[i], g.out_edge_values(gu)[i]);
       }
       // In-degree comes from the FULL graph, not the local one.
-      EXPECT_EQ(lg.in_degree[u], g.in_degrees()[gu]);
+      EXPECT_EQ(lg.in_degree()[u], g.in_degrees()[gu]);
     }
   }
 }
@@ -78,7 +83,7 @@ TEST(LocalGraph, EmptySideIsFine) {
       LocalGraph::split_n(g, std::vector<int>(g.num_vertices(), 0), 2);
   EXPECT_EQ(parts[0].num_local_vertices(), 100u);
   EXPECT_EQ(parts[1].num_local_vertices(), 0u);
-  EXPECT_EQ(parts[1].local.num_edges(), 0u);
+  EXPECT_EQ(parts[1].local().num_edges(), 0u);
 }
 
 TEST(LocalGraph, CrossEdgeCount) {
